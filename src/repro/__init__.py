@@ -26,7 +26,7 @@ from repro.config import GPUConfig, CacheConfig, NoCConfig, DRAMConfig, \
 from repro.sim.gpusim import GPUSimulator, run_simulation
 from repro.sim.results import SimResult
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "CacheConfig",

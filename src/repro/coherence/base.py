@@ -28,64 +28,43 @@ from repro.mem.cache_array import CacheArray, CacheLine
 from repro.mem.dram import DRAMPartition
 from repro.mem.mshr import MSHRFile
 from repro.noc.crossbar import Crossbar
-from repro.timing.engine import Engine
+from repro.timing.engine import Engine, RetryGate
 
 
-def _install_counter_properties(cls: type) -> type:
-    """Expose each ``FIELDS`` name as a property over the backing list.
-
-    The counters live in one ``List[int]`` (``self.c``) so the compilable
-    flat kernel (:mod:`repro.kernel.hot`) can bump them by integer index
-    without attribute access; every existing ``stats.loads += 1`` call
-    site keeps working through these properties."""
-    for i, field in enumerate(cls.FIELDS):
-        def getter(self, _i: int = i) -> int:
-            return self.c[_i]
-
-        def setter(self, value: int, _i: int = i) -> None:
-            self.c[_i] = value
-
-        setattr(cls, field, property(getter, setter))
-    return cls
-
-
-@_install_counter_properties
 class L1Stats:
     """Superset of per-L1 counters used across protocols.
 
     ``load_expired``: loads that found the block in V state but with an
-    expired lease (RCC/TC) — the numerator of the paper's Fig. 6 (left).
-    Field order is part of the flat-kernel ABI (``hot.ST1_*`` indices are
-    pinned against ``FIELDS`` by the kernel test battery)."""
+    expired lease (RCC/TC) — the numerator of the paper's Fig. 6 (left)."""
 
     FIELDS = ("loads", "load_hits", "load_misses", "load_expired", "stores",
               "atomics", "renews_received", "invalidations_received",
               "self_invalidations", "evictions", "flushes")
 
-    __slots__ = ("c",)
+    __slots__ = FIELDS
 
     def __init__(self) -> None:
-        self.c = [0] * len(self.FIELDS)
+        for name in self.FIELDS:
+            setattr(self, name, 0)
 
 
-@_install_counter_properties
 class L2Stats:
     """Per-L2-bank counters.
 
     ``gets_expired``: GETS requests from expired L1 copies (Fig. 6 right
     denominator); ``renew_grants``: ... of which the block was unchanged
     and a RENEW was granted; ``store_lease_wait_cycles``: TCS only, cycles
-    stores spent waiting for leases to expire. Field order is part of the
-    flat-kernel ABI (see :class:`L1Stats`)."""
+    stores spent waiting for leases to expire."""
 
     FIELDS = ("gets", "writes", "atomics", "hits", "misses", "evictions",
               "writebacks", "gets_expired", "renew_grants",
               "invalidations_sent", "store_lease_wait_cycles", "rollovers")
 
-    __slots__ = ("c",)
+    __slots__ = FIELDS
 
     def __init__(self) -> None:
-        self.c = [0] * len(self.FIELDS)
+        for name in self.FIELDS:
+            setattr(self, name, 0)
 
 
 class L1ControllerBase:
@@ -215,8 +194,13 @@ class L2ControllerBase:
         #: modelled by :class:`DRAMPartition`, values live here.
         self.backing = backing
         self.endpoint = ("l2", bank_id)
-        self.cache = CacheArray(cfg.l2_per_bank, invalid_state)
-        self.mshr = MSHRFile(cfg.l2_per_bank.mshr_entries)
+        #: Unblock epoch shared by this bank's tag array and MSHRs (and
+        #: bumped by protocol-specific unblock paths); retry polls blocked
+        #: on a full bank report it so the engine can skip re-polling them.
+        self.retry_gate = RetryGate()
+        self.cache = CacheArray(cfg.l2_per_bank, invalid_state,
+                                self.retry_gate)
+        self.mshr = MSHRFile(cfg.l2_per_bank.mshr_entries, self.retry_gate)
         self.stats = L2Stats()
         #: Monotonic per-bank arrival counter: the physical serialization
         #: order of writes at this bank (SC tie-break for equal versions).

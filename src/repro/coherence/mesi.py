@@ -21,7 +21,6 @@ directory content lives in ``line.sharers`` at the L2.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import List, Optional
 
 from repro.common.messages import Message
@@ -30,9 +29,7 @@ from repro.coherence.base import L1ControllerBase, L2ControllerBase
 from repro.gpu.warp import MemOpRecord, Warp
 from repro.mem.cache_array import CacheLine
 from repro.sanitize.events import EventKind as EV
-from repro.timing.engine import _MASK as _RING_MASK
-
-RETRY_DELAY = 8
+from repro.timing.engine import RETRY_DELAY
 
 
 class MESIL1Controller(L1ControllerBase):
@@ -278,71 +275,50 @@ class MESIL2Controller(L2ControllerBase):
             raise self.unhandled("-", msg.kind, f"addr=0x{msg.addr:x}")
 
     def _retry(self, msg: Message) -> None:
-        # Built once per message and cached in its meta. While the blocking
-        # condition still holds the poll re-arms itself with pure reads only;
-        # the guard is exactly the set of conditions under which re-entering
-        # the handler would call ``_retry`` again without side effects (stats
-        # are ``_counted``-guarded, and the handler's ``can_allocate`` fail is
-        # conservatively left to the full path). Anything else re-enters the
-        # kind-specific handler, identical to re-entering ``on_message``
-        # (pure dispatch; INV_ACKs are never retried). Never cancelled ->
-        # the engine's no-handle path, which preserves (cycle, seq) order.
+        # Built once per message and cached in its meta. The poll reports
+        # the request blocked exactly when re-entering the handler would
+        # call ``_retry`` again without side effects (stats are
+        # ``_counted``-guarded, and the handler's ``can_allocate`` fail is
+        # conservatively left to the full path): on the bank's gate when it
+        # waits for a free MSHR, plainly (re-checked every poll) when it
+        # waits for invalidation or recall acks. Anything else re-enters
+        # the kind-specific handler, identical to re-entering
+        # ``on_message`` (pure dispatch; INV_ACKs are never retried).
         meta = msg.meta
-        cb = meta.get("_retry_cb")
-        if cb is None:
+        poll = meta.get("_retry_poll")
+        if poll is None:
             block = msg.addr
             cache_map = self.cache._map
             entries = self.mshr._entries
             capacity = self.mshr.capacity
             recalls = self._recalls
-            engine = self.engine
+            gate = self.retry_gate
             valid = L2State.V
-
-            def blocked() -> bool:
-                line = cache_map.get(block)
-                if line is not None:
-                    return (line.state is valid
-                            and line.meta.get("inv_pending") is not None)
-                if recalls.get(block):
-                    return True
-                return len(entries) >= capacity and block not in entries
-
-            ring = getattr(engine, "_ring", None)  # None under the legacy engine
             if msg.kind is MsgKind.GETS:
-                def cb() -> None:
-                    if blocked():
-                        # schedule_call's in-window bare-callback path,
-                        # inlined (see the TC retry for the rationale).
-                        cyc = engine.now + RETRY_DELAY
-                        if ring is not None and cyc < engine._horizon:
-                            engine._live += 1
-                            b = ring[cyc & _RING_MASK]
-                            if not b:
-                                heappush(engine._ring_cycles, cyc)
-                            b.append(cb)
-                        else:
-                            engine.schedule_call(cyc, cb)
-                    else:
-                        self._on_gets(msg)
+                def proceed() -> None:
+                    self._on_gets(msg)
             else:
                 atomic = msg.kind is MsgKind.ATOMIC
 
-                def cb() -> None:
-                    if blocked():
-                        cyc = engine.now + RETRY_DELAY
-                        if ring is not None and cyc < engine._horizon:
-                            engine._live += 1
-                            b = ring[cyc & _RING_MASK]
-                            if not b:
-                                heappush(engine._ring_cycles, cyc)
-                            b.append(cb)
-                        else:
-                            engine.schedule_call(cyc, cb)
-                    else:
-                        self._on_getx(msg, atomic)
-            meta["_retry_cb"] = cb
+                def proceed() -> None:
+                    self._on_getx(msg, atomic)
+
+            def poll(dry: bool = False):
+                line = cache_map.get(block)
+                if line is not None:
+                    if (line.state is valid
+                            and line.meta.get("inv_pending") is not None):
+                        return True
+                elif recalls.get(block):
+                    return True
+                elif len(entries) >= capacity and block not in entries:
+                    return gate
+                if not dry:
+                    proceed()
+                return None
+            meta["_retry_poll"] = poll
         engine = self.engine
-        engine.schedule_call(engine.now + RETRY_DELAY, cb)
+        engine.schedule_retry(engine.now + RETRY_DELAY, poll)
 
     @staticmethod
     def _busy(line: CacheLine) -> bool:

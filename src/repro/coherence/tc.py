@@ -26,7 +26,6 @@ acks can block same-cacheline stores from other warps).
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Dict, Optional
 
 from repro.common.messages import Message
@@ -36,9 +35,7 @@ from repro.core.lease import lease_expired, lease_valid, post_lease
 from repro.gpu.warp import MemOpRecord, Warp
 from repro.mem.cache_array import CacheLine
 from repro.sanitize.events import EventKind as EV
-from repro.timing.engine import _MASK as _RING_MASK
-
-RETRY_DELAY = 8
+from repro.timing.engine import RETRY_DELAY
 
 
 class TCL1Controller(L1ControllerBase):
@@ -446,79 +443,12 @@ class TCL2Controller(L2ControllerBase):
 
     # ------------------------------------------------------------------
     def _miss_fetch(self, msg: Message, block: int, is_read: bool) -> None:
-        # Under MSHR pressure this is re-entered once per RETRY_DELAY per
-        # parked request — millions of times in lease-heavy sweeps — so the
-        # fail path is inlined: the occupancy test reads the MSHR's entry
-        # dict directly and the retry uses the pooled no-handle scheduling
-        # path (order-identical to ``schedule``, see ``_retry``).
         mshr = self.mshr
         entries = mshr._entries
         if ((len(entries) + len(self.parked) >= mshr.capacity
              and block not in entries)
                 or not self._can_allocate(block)):
-            # The retry callback is built once per message and cached in
-            # its meta. While the bank is still saturated it requeues
-            # itself directly: the guard below is exactly this method's
-            # short-circuit fail condition, and with no line present the
-            # full handler could do nothing else (``_on_gets``/``_on_write``
-            # fall straight back here, and ``_can_allocate`` — whose
-            # pin-flag side effects must be preserved — is skipped by the
-            # ``or`` short-circuit either way). Any other state falls
-            # through to the kind-specific handler, which is identical to
-            # re-entering ``on_message`` (pure dispatch). Never cancelled
-            # -> the engine's no-handle path, which preserves (cycle, seq)
-            # firing order exactly.
-            meta = msg.meta
-            cb = meta.get("_retry_cb")
-            if cb is None:
-                cache_map = self.cache._map
-                parked = self.parked
-                capacity = mshr.capacity
-                engine = self.engine
-                # The self-requeue inlines ``schedule_call``'s in-window
-                # bare-callback path (sans the past-check: now+RETRY_DELAY
-                # is always in the future) — at millions of polls per sweep
-                # the method call itself is measurable. ``_ring`` is never
-                # rebound; ``_ring_cycles`` can be (``_park``), so it is
-                # read through the engine each time.
-                ring = getattr(engine, "_ring", None)  # None under the legacy engine
-                if is_read:
-                    def cb() -> None:
-                        if (cache_map.get(block) is None
-                                and len(entries) + len(parked) >= capacity
-                                and block not in entries):
-                            cyc = engine.now + RETRY_DELAY
-                            if ring is not None and cyc < engine._horizon:
-                                engine._live += 1
-                                b = ring[cyc & _RING_MASK]
-                                if not b:
-                                    heappush(engine._ring_cycles, cyc)
-                                b.append(cb)
-                            else:
-                                engine.schedule_call(cyc, cb)
-                        else:
-                            self._on_gets(msg)
-                else:
-                    atomic = msg.kind is MsgKind.ATOMIC
-
-                    def cb() -> None:
-                        if (cache_map.get(block) is None
-                                and len(entries) + len(parked) >= capacity
-                                and block not in entries):
-                            cyc = engine.now + RETRY_DELAY
-                            if ring is not None and cyc < engine._horizon:
-                                engine._live += 1
-                                b = ring[cyc & _RING_MASK]
-                                if not b:
-                                    heappush(engine._ring_cycles, cyc)
-                                b.append(cb)
-                            else:
-                                engine.schedule_call(cyc, cb)
-                        else:
-                            self._on_write(msg, atomic)
-                meta["_retry_cb"] = cb
-            engine = self.engine
-            engine.schedule_call(engine.now + RETRY_DELAY, cb)
+            self._retry(msg, is_read)
             return
         self.stats.misses += 1
         line = self.cache.insert(block, L2State.IV, self._on_evict)
@@ -530,6 +460,44 @@ class TCL2Controller(L2ControllerBase):
         else:
             entry.pending_stores.append(msg)
         self.fetch_from_dram(block, self._on_dram_data)
+
+    def _retry(self, msg: Message, is_read: bool) -> None:
+        # The poll is built once per message and cached in its meta. With
+        # no line present and the bank saturated (MSHRs plus parked leases)
+        # the handler could do nothing but retry again, so the poll reports
+        # itself blocked on the bank's gate; any other state re-enters the
+        # kind-specific handler, identical to re-entering ``on_message``
+        # (pure dispatch). ``_can_allocate`` — whose pin-flag side effects
+        # must be preserved — is left to that full path.
+        meta = msg.meta
+        poll = meta.get("_retry_poll")
+        if poll is None:
+            cache_map = self.cache._map
+            entries = self.mshr._entries
+            parked = self.parked
+            capacity = self.mshr.capacity
+            gate = self.retry_gate
+            block = msg.addr
+            if is_read:
+                def proceed() -> None:
+                    self._on_gets(msg)
+            else:
+                atomic = msg.kind is MsgKind.ATOMIC
+
+                def proceed() -> None:
+                    self._on_write(msg, atomic)
+
+            def poll(dry: bool = False):
+                if (cache_map.get(block) is None
+                        and len(entries) + len(parked) >= capacity
+                        and block not in entries):
+                    return gate
+                if not dry:
+                    proceed()
+                return None
+            meta["_retry_poll"] = poll
+        engine = self.engine
+        engine.schedule_retry(engine.now + RETRY_DELAY, poll)
 
     def _can_allocate(self, block: int) -> bool:
         """Evicting an unexpired block parks its lease in an MSHR slot
@@ -564,7 +532,11 @@ class TCL2Controller(L2ControllerBase):
         line.value = self.read_backing(block)
         # A parked lease survives the round trip through DRAM: a write to
         # the refetched block must still wait for it (TCS correctness).
-        line.exp = self.parked.pop(block, 0)
+        if block in self.parked:
+            line.exp = self.parked.pop(block)
+            self.retry_gate.epoch += 1
+        else:
+            line.exp = 0
         if self.sanitizer is not None:
             self._emit(EV.L2_FILL, block, exp=line.exp)
         # Replay merged requests in arrival order: reads then writes (the
@@ -596,3 +568,4 @@ class TCL2Controller(L2ControllerBase):
     def _unpark(self, addr: int, exp: int) -> None:
         if self.parked.get(addr, -1) <= exp:
             self.parked.pop(addr, None)
+            self.retry_gate.epoch += 1

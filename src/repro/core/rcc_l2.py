@@ -29,7 +29,6 @@ Responsibilities beyond the FSM proper:
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Dict, List, Optional
 
 from repro.common.messages import Message
@@ -39,12 +38,7 @@ from repro.core.lease import post_lease
 from repro.core.lease_policy import make_lease_policy
 from repro.mem.cache_array import CacheLine
 from repro.sanitize.events import EventKind as EV
-from repro.timing.engine import _MASK as _RING_MASK
-
-#: Delay before re-presenting a request that hit a stalling state (IAV, or a
-#: set with every way pinned). Models the request sitting in the bank's
-#: input queue.
-RETRY_DELAY = 8
+from repro.timing.engine import RETRY_DELAY
 
 
 class RCCL2Controller(L2ControllerBase):
@@ -105,28 +99,29 @@ class RCCL2Controller(L2ControllerBase):
         return m + self._lease_max2
 
     def _retry(self, msg: Message) -> None:
-        # The retry re-enters ``on_message`` in full whenever rollover could
+        # The poll re-enters ``on_message`` in full whenever rollover could
         # be in play: the frozen/trigger checks and epoch clamping must be
         # re-evaluated at fire time. Away from the guard band that entry
         # sequence is side-effect-free (``maybe_trigger``'s no-trigger path
         # is a pure read, and the clamped timestamps cannot affect whether
         # the request blocks), so the poll re-checks the blocking condition
         # with pure reads — the in-line projected-timestamp computation is
-        # ``_projected_ts`` verbatim — and re-arms itself while it holds,
-        # conservatively falling back to the full path for the
-        # ``can_allocate`` fail case. Built once per message; never
-        # cancelled -> the engine's no-handle path, which preserves
-        # (cycle, seq) firing order exactly.
+        # ``_projected_ts`` verbatim — and reports the request still
+        # blocked while it holds: on the bank's gate when the line is
+        # absent and the MSHRs are full, plainly (re-checked every poll)
+        # while the line sits in a stalling state. The ``can_allocate``
+        # fail case conservatively falls back to the full path. Built once
+        # per message.
         meta = msg.meta
-        cb = meta.get("_retry_cb")
-        if cb is None:
+        poll = meta.get("_retry_poll")
+        if poll is None:
             block = msg.addr
             cache_map = self.cache._map
             entries = self.mshr._entries
             capacity = self.mshr.capacity
-            engine = self.engine
             rollover = self.rollover
             dram = self.dram
+            gate = self.retry_gate
             threshold = rollover.threshold
             lease_max2 = self._lease_max2
             n = msg.now or 0
@@ -134,9 +129,7 @@ class RCCL2Controller(L2ControllerBase):
             valid = L2State.V
             iav = L2State.IAV
 
-            ring = getattr(engine, "_ring", None)  # None under the legacy engine
-
-            def cb() -> None:
+            def poll(dry: bool = False):
                 if not self.frozen and not rollover.in_progress:
                     line = cache_map.get(block)
                     m = dram.mnow
@@ -149,30 +142,18 @@ class RCCL2Controller(L2ControllerBase):
                             m = line.ver
                     if m + lease_max2 < threshold:
                         if line is not None:
-                            blocked = (line.state is not valid if atomic
-                                       else line.state is iav)
-                        elif atomic:
-                            blocked = len(entries) >= capacity
-                        else:
-                            blocked = (len(entries) >= capacity
-                                       and block not in entries)
-                        if blocked:
-                            # schedule_call's in-window bare-callback path,
-                            # inlined (see the TC retry for the rationale).
-                            cyc = engine.now + RETRY_DELAY
-                            if ring is not None and cyc < engine._horizon:
-                                engine._live += 1
-                                b = ring[cyc & _RING_MASK]
-                                if not b:
-                                    heappush(engine._ring_cycles, cyc)
-                                b.append(cb)
-                            else:
-                                engine.schedule_call(cyc, cb)
-                            return
-                self.on_message(msg)
-            meta["_retry_cb"] = cb
+                            if (line.state is not valid if atomic
+                                    else line.state is iav):
+                                return True
+                        elif len(entries) >= capacity and (
+                                atomic or block not in entries):
+                            return gate
+                if not dry:
+                    self.on_message(msg)
+                return None
+            meta["_retry_poll"] = poll
         engine = self.engine
-        engine.schedule_call(engine.now + RETRY_DELAY, cb)
+        engine.schedule_retry(engine.now + RETRY_DELAY, poll)
 
     # ------------------------------------------------------------------
     # GETS
@@ -447,6 +428,10 @@ class RCCL2Controller(L2ControllerBase):
         self.stats.evictions += 1
         # post_lease (exp + 1, not the paper's exp): see the module docstring.
         self.dram.bump_mnow(max(post_lease(line.exp), line.ver))
+        if self.dram.mnow + self._lease_max2 >= self.rollover.threshold:
+            # mnow entered the rollover guard band: a request waiting for
+            # a free MSHR must now take the full (rollover) path instead.
+            self.retry_gate.epoch += 1
         if self.sanitizer is not None:
             self._emit(EV.L2_EVICT, line.addr, ver=line.ver, exp=line.exp,
                        mnow_after=self.dram.mnow, epoch=self.rollover.epoch)
@@ -455,9 +440,11 @@ class RCCL2Controller(L2ControllerBase):
 
     def freeze(self) -> None:
         self.frozen = True
+        self.retry_gate.epoch += 1
 
     def unfreeze(self) -> None:
         self.frozen = False
+        self.retry_gate.epoch += 1
         queued, self._frozen_queue = self._frozen_queue, []
         for msg in queued:
             self.on_message(msg)

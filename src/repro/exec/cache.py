@@ -50,6 +50,7 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.chaos import plan_from_env
+from repro.common.env import env_int
 from repro.sim.results import SimResult
 
 #: Default cache directory, relative to the working directory.
@@ -69,16 +70,6 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: crashed writer and are swept; younger ones may belong to a concurrent
 #: campaign mid-commit.
 STALE_TMP_AGE_S = 3600.0
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
 
 
 def result_digest(payload: Any) -> str:
@@ -102,10 +93,10 @@ class ResultCache:
         self.root = root or os.environ.get("RCC_CACHE_DIR",
                                            DEFAULT_CACHE_DIR)
         if max_entries is None:
-            max_entries = _env_int("RCC_CACHE_MAX_ENTRIES",
-                                   DEFAULT_MAX_ENTRIES)
+            max_entries = env_int("RCC_CACHE_MAX_ENTRIES",
+                                  DEFAULT_MAX_ENTRIES)
         if max_bytes is None:
-            max_bytes = _env_int("RCC_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
+            max_bytes = env_int("RCC_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
         #: Maximum entry count / total bytes; ``<= 0`` disables the bound.
         self.max_entries = max_entries
         self.max_bytes = max_bytes

@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos import ChaosCrash, arm_parent, plan_from_env
+from repro.common.env import env_flag, env_int
 from repro.errors import CellFailure, HarnessError
 from repro.exec.cache import ResultCache
 from repro.exec.cells import SimCell, cell_key, run_cell
@@ -134,12 +135,7 @@ class RetryPolicy:
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
-        raw = os.environ.get("RCC_MAX_ATTEMPTS")
-        try:
-            max_attempts = max(1, int(raw)) if raw else 3
-        except ValueError:
-            max_attempts = 3
-        return cls(max_attempts=max_attempts)
+        return cls(max_attempts=max(1, env_int("RCC_MAX_ATTEMPTS", 3)))
 
 
 @dataclass
@@ -333,7 +329,7 @@ class SweepExecutor:
                  journal_dir: Optional[str] = None,
                  resume: Optional[str] = None):
         if jobs is None:
-            jobs = int(os.environ.get("RCC_JOBS", "1") or 1)
+            jobs = env_int("RCC_JOBS", 1)
         self.jobs = max(1, jobs)
         self.cache = cache
         self.timeout = timeout
@@ -806,7 +802,7 @@ class SweepExecutor:
     def _make_pool(self, workers: int):
         """A fork-context process pool, or None when multiprocessing is
         unusable here (missing primitives, sandboxing, RCC_NO_MP=1)."""
-        if os.environ.get("RCC_NO_MP"):
+        if env_flag("RCC_NO_MP"):
             return None
         try:
             import multiprocessing

@@ -13,11 +13,9 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.config import CacheConfig
 from repro.errors import SimulationError
+from repro.timing.engine import RetryGate
 
-#: Global LRU clock, boxed in a one-element list so the compilable flat
-#: kernel (``repro.kernel.hot``) can consume ticks from the same sequence
-#: without a Python function call: both kernels share this box, keeping
-#: victim selection bit-identical across object/flat/compiled paths.
+#: Global LRU clock, boxed in a one-element list (a cheap mutable cell).
 _lru_clock: List[int] = [0]
 
 
@@ -58,12 +56,18 @@ class CacheArray:
 
     ``invalid_state`` is the protocol's I state; lines in that state are
     preferred victims and `lookup` treats them as absent unless asked.
+
+    Every insert of a new line bumps ``gate`` (the owning L2 bank's
+    :class:`~repro.timing.engine.RetryGate`; a private one by default):
+    a request waiting for its block to appear may proceed now.
     """
 
-    def __init__(self, cfg: CacheConfig, invalid_state: Any):
+    def __init__(self, cfg: CacheConfig, invalid_state: Any,
+                 gate: Optional[RetryGate] = None):
         cfg.validate()
         self.cfg = cfg
         self.invalid_state = invalid_state
+        self.gate = gate if gate is not None else RetryGate()
         self.n_sets = cfg.n_sets
         self.assoc = cfg.assoc
         self._block_shift = cfg.block_bytes.bit_length() - 1
@@ -126,6 +130,7 @@ class CacheArray:
         line = CacheLine(base, state)
         s[base] = line
         self._map[base] = line
+        self.gate.epoch += 1
         return line
 
     def can_allocate(self, addr: int) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.errors import SimulationError
+from repro.timing.engine import RetryGate
 
 
 class MSHREntry:
@@ -44,12 +45,18 @@ class MSHREntry:
 
 
 class MSHRFile:
-    """Fixed-capacity file of :class:`MSHREntry`, keyed by block address."""
+    """Fixed-capacity file of :class:`MSHREntry`, keyed by block address.
 
-    def __init__(self, capacity: int):
+    Every release bumps ``gate`` (the owning L2 bank's
+    :class:`~repro.timing.engine.RetryGate`; a private one by default):
+    a request waiting for a free entry may proceed now.
+    """
+
+    def __init__(self, capacity: int, gate: Optional[RetryGate] = None):
         if capacity <= 0:
             raise SimulationError("MSHR capacity must be positive")
         self.capacity = capacity
+        self.gate = gate if gate is not None else RetryGate()
         self._entries: Dict[int, MSHREntry] = {}
         self.peak_occupancy = 0
 
@@ -82,11 +89,13 @@ class MSHRFile:
                 f"releasing non-empty MSHR entry 0x{addr:x}: {entry!r}"
             )
         del self._entries[addr]
+        self.gate.epoch += 1
 
     def release_if_empty(self, addr: int) -> bool:
         entry = self._entries.get(addr)
         if entry is not None and entry.empty:
             del self._entries[addr]
+            self.gate.epoch += 1
             return True
         return False
 
@@ -101,3 +110,4 @@ class MSHRFile:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.gate.epoch += 1

@@ -29,13 +29,9 @@ ABLATION_SCHEMA = 2
 
 
 def provenance() -> Dict[str, Any]:
-    """Where a report's numbers came from: git revision, the kernel that
-    actually ran (flat vs object, compiled vs interpreted), and the
+    """Where a report's numbers came from: git revision and the
     interpreter. Stamped into every BENCH_*/ABLATION_* report so a
-    committed artifact is self-describing — a compiled-kernel CI number
-    can never be mistaken for an interpreted local one."""
-    from repro import kernel
-
+    committed artifact is self-describing."""
     here = os.path.dirname(os.path.abspath(__file__))
     sha = "unknown"
     dirty = False
@@ -52,8 +48,6 @@ def provenance() -> Dict[str, Any]:
     return {
         "git_sha": sha,
         "git_dirty": dirty,
-        "kernel": kernel.kernel_description(),
-        "kernel_compiled": kernel.COMPILED,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),

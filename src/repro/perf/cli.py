@@ -34,7 +34,6 @@ def _render(report: dict) -> str:
         dirty = "+dirty" if prov.get("git_dirty") else ""
         lines.append(
             f"  provenance: {prov.get('git_sha', 'unknown')[:12]}{dirty}  "
-            f"kernel={prov.get('kernel')}  "
             f"python={prov.get('python')}")
     for label, cell in report["cells"].items():
         line = (f"  {label:<12} {cell['wall_s']:8.3f}s  "

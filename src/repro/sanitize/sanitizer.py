@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from typing import Any, Optional
 
+from repro.common.env import env_flag
 from repro.errors import InvariantViolation
 from repro.sanitize.events import CoherenceEvent, TraceRing
 from repro.sanitize.invariants import suites_for
@@ -27,13 +28,10 @@ from repro.sanitize.invariants import suites_for
 ENV_SANITIZE = "RCC_SANITIZE"
 ENV_TRACE_OUT = "RCC_TRACE_OUT"
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
 
 def sanitize_enabled_from_env(environ=None) -> bool:
     """Is the ``RCC_SANITIZE`` toggle set to a truthy value?"""
-    env = os.environ if environ is None else environ
-    return env.get(ENV_SANITIZE, "").strip().lower() in _TRUTHY
+    return env_flag(ENV_SANITIZE, environ)
 
 
 def trace_out_from_env(environ=None) -> Optional[str]:

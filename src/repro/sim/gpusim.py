@@ -75,6 +75,7 @@ class GPUSimulator:
             for ctrl in list(self.proto.l1s) + list(self.proto.l2s):
                 ctrl.sanitizer = self.sanitizer
             self.engine.diagnostics = self.sanitizer.diagnostics
+            self.engine.audit_retries = True
         policy_kind = self.proto.consistency
         self._cores_done = 0
         self.cores: List[GPUCore] = []
@@ -125,8 +126,8 @@ class GPUSimulator:
         for core in self.cores:
             core.start()
         # The event loop allocates heavily (records, messages, retry
-        # closures), and the cached retry callbacks form reference cycles
-        # (msg.meta -> cb -> msg) that keep the generational collector
+        # polls), and the cached retry polls form reference cycles
+        # (msg.meta -> poll -> msg) that keep the generational collector
         # scanning a large, mostly-immortal heap mid-run. One run's garbage
         # fits comfortably in memory, so pause collection for the loop and
         # reclaim the cycles in one sweep afterwards. Purely a wall-clock

@@ -35,12 +35,19 @@ mid-drain without touching any priority structure. Two further fast paths:
 
 * :meth:`Engine.schedule_call` is a no-handle variant of ``schedule`` for
   the hot call sites (core ticks, NoC deliveries, DRAM completions, L1 hit
-  callbacks, protocol retries) whose events are never cancelled. Inside
+  callbacks) whose events are never cancelled. Inside
   the ring window it appends the **bare callback** to the bucket — no
   event object, no seq draw (bucket position already encodes scheduling
   order); beyond the window it wraps the callback in an ``Event`` recycled
   through a free list. Because no handle escapes, neither representation
   can be confused by a stale ``cancel()``.
+* :meth:`Engine.schedule_retry` queues a *retry poll*: a request that hit
+  a blocked L2 bank asks every ``RETRY_DELAY`` cycles whether it can
+  proceed. Consecutive retries in one bucket share one
+  :class:`RetryBatch` entry, fired member by member in order, and a
+  member blocked on a full bank is re-armed without re-running its
+  predicate while the bank's :class:`RetryGate` epoch is unchanged
+  (DESIGN.md Appendix D, "Retry batches").
 * ``pending`` is an O(1) live-event counter (decremented on cancel and on
   fire) instead of an O(n) heap walk, so watchdog ``snapshot()`` calls are
   free.
@@ -57,8 +64,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
-from repro.errors import DeadlockError, SimulationError
-from repro.kernel import hot as _hot
+from repro.errors import DeadlockError, InvariantViolation, SimulationError
 
 Callback = Callable[[], None]
 
@@ -72,6 +78,49 @@ _MASK = _RING - 1
 #: Free-list bound; beyond this, retired pooled events are dropped for the
 #: allocator to reclaim.
 _POOL_MAX = 4096
+
+#: Cycles between two polls of a blocked request (the request sitting in
+#: the bank's input queue). Shorter than the ring, so a batch being fired
+#: always re-arms its members inside the window.
+RETRY_DELAY = 8
+assert RETRY_DELAY < _RING
+
+
+class RetryGate:
+    """The unblock epoch of one L2 bank.
+
+    Every change that can let a request blocked on "line absent and MSHR
+    (plus parked leases) full" proceed bumps ``epoch``: MSHR releases,
+    tag-array inserts, TC parked-lease pops and RCC rollover/freeze
+    transitions. A retry poll that reports itself blocked on the gate is
+    re-armed without re-running its predicate while ``epoch`` stays put.
+    """
+
+    __slots__ = ("epoch",)
+
+    def __init__(self) -> None:
+        self.epoch = 0
+
+
+#: Stand-in gate of a member that must be re-evaluated on its next firing
+#: (first firing, or blocked on something the epoch does not track). Its
+#: recorded epoch is -1, which ``epoch`` (0, never bumped) never equals.
+_UNGATED = RetryGate()
+
+
+class RetryBatch:
+    """Consecutive retry polls of one bucket, fired as one entry.
+
+    ``members`` holds ``(poll, gate, epoch)`` triples in scheduling order;
+    ``pos`` is the index of the next member to fire (it only stops short
+    of the end when a member's handler calls ``stop()`` or raises).
+    """
+
+    __slots__ = ("members", "pos")
+
+    def __init__(self, members: list) -> None:
+        self.members = members
+        self.pos = 0
 
 
 class Event:
@@ -117,8 +166,8 @@ class Engine:
 
     __slots__ = ("now", "max_cycles", "_seq", "_events_fired", "_stopped",
                  "_live", "_ring", "_ring_cycles", "_far", "_horizon",
-                 "_cur", "_cur_idx", "_cur_cycle", "_pool", "_drain_ctl",
-                 "_ring_has_ev", "diagnostics")
+                 "_cur", "_cur_idx", "_cur_cycle", "_pool", "audit_retries",
+                 "diagnostics")
 
     def __init__(self, max_cycles: int = 500_000_000):
         self.now: int = 0
@@ -127,7 +176,7 @@ class Engine:
         self._events_fired = 0
         self._stopped = False
         #: Live (scheduled, not yet fired, not cancelled) events — O(1)
-        #: ``pending``.
+        #: ``pending``. Every retry-batch member counts as one event.
         self._live = 0
         #: Near-future buckets; bucket ``c & _MASK`` holds cycle ``c`` while
         #: ``c`` is inside ``[now, _horizon)``.
@@ -150,17 +199,10 @@ class Engine:
         self._cur_cycle = -1
         #: Free list of recycled schedule_call events.
         self._pool: List[Event] = []
-        #: Drain-control box shared with :func:`repro.kernel.hot.drain_calls`:
-        #: [stop requested, resume index, Event appended to the current
-        #: bucket mid-drain, fired count]. A plain int list so the compiled
-        #: kernel can read/write it without attribute access.
-        self._drain_ctl: List[int] = [0, 0, 0, 0]
-        #: Per-bucket "may hold :class:`Event` objects" flags. False means
-        #: the bucket holds only bare ``schedule_call`` callbacks and
-        #: ``None`` holes — the shape the batch drain kernel accepts.
-        #: Conservative: set on every Event append, cleared only when the
-        #: bucket's cycle retires or the bucket is evicted.
-        self._ring_has_ev: List[bool] = [False] * _RING
+        #: Re-evaluate every retry member the epoch lets the engine skip and
+        #: raise :class:`InvariantViolation` if it was in fact unblocked.
+        #: Set when a sanitizer is attached to the simulation.
+        self.audit_retries = False
         #: Optional () -> str hook appended to DeadlockError messages
         #: (the sanitizer attaches its recent-event tail here).
         self.diagnostics: Optional[Callable[[], str]] = None
@@ -183,12 +225,6 @@ class Engine:
             if not bucket:
                 heapq.heappush(self._ring_cycles, cycle)
             bucket.append(ev)
-            self._ring_has_ev[cycle & _MASK] = True
-            if cycle == self._cur_cycle:
-                # A handle-carrying event landed in the bucket being
-                # drained: kick the batch drain back to the Python loop,
-                # which knows how to fire Events.
-                self._drain_ctl[2] = 1
         else:
             heapq.heappush(self._far, ev)
         return ev
@@ -227,6 +263,46 @@ class Engine:
                 heapq.heappush(self._ring_cycles, cycle)
             bucket.append(callback)
             return
+        self._push_far(cycle, callback)
+
+    def schedule_retry(self, cycle: int, poll: Callable[..., object]) -> None:
+        """Queue a retry poll at ``cycle``; returns no handle.
+
+        ``poll()`` either lets the blocked request proceed (it runs the
+        handler) and returns None, or reports that the request is still
+        blocked: ``True`` for a condition that must be re-checked on every
+        poll, or the bank's :class:`RetryGate` when the request waits for
+        that bank to free capacity. A still-blocked poll is re-armed
+        ``RETRY_DELAY`` cycles later. ``poll(True)`` must report the same
+        status without running anything; the sanitizer's cross-check of
+        skipped members relies on it.
+
+        The retry joins the bucket's last entry when that is a retry batch
+        still to fire, and starts a new batch otherwise, so the firing
+        order is exactly that of one event per retry. Each member counts
+        as one event in ``pending`` and ``events_fired``.
+        """
+        if cycle < self._horizon:
+            if cycle < self.now:
+                raise SimulationError(
+                    f"cannot schedule event in the past "
+                    f"(now={self.now}, at={cycle})"
+                )
+            self._live += 1
+            bucket = self._ring[cycle & _MASK]
+            if bucket:
+                last = bucket[-1]
+                if last.__class__ is RetryBatch:
+                    last.members.append((poll, _UNGATED, -1))
+                    return
+            else:
+                heapq.heappush(self._ring_cycles, cycle)
+            bucket.append(RetryBatch([(poll, _UNGATED, -1)]))
+            return
+        self._push_far(cycle, RetryBatch([(poll, _UNGATED, -1)]))
+
+    def _push_far(self, cycle: int, callback) -> None:
+        """Queue a no-handle entry beyond the window in a pooled Event."""
         self._seq += 1
         pool = self._pool
         if pool:
@@ -247,7 +323,6 @@ class Engine:
         """Drop the drained cursor bucket (its cycle is now in the past)."""
         del self._cur[:]
         self._cur = None
-        self._ring_has_ev[self._cur_cycle & _MASK] = False
 
     def _acquire_next_cycle(self) -> bool:
         """Point the cursor at the earliest nonempty cycle, migrating far
@@ -283,7 +358,6 @@ class Engine:
                 if not bucket and ev.cycle != nxt:
                     heapq.heappush(rc, ev.cycle)
                 bucket.append(ev)
-                self._ring_has_ev[ev.cycle & _MASK] = True
         self._horizon = horizon
         self._cur = self._ring[nxt & _MASK]
         self._cur_idx = 0
@@ -331,7 +405,8 @@ class Engine:
         """Move a bucket's live entries to the far heap (window contraction).
 
         Bucket entries are position-ordered; bare ``schedule_call``
-        callbacks carry no ordering key, so every evicted entry is
+        callbacks and retry batches carry no ordering key, so every
+        evicted entry is
         (re)stamped with a fresh ascending seq. That preserves the
         bucket's internal order, and cross-event order is safe because
         (a) a cycle never has entries in both the ring and the far heap,
@@ -356,7 +431,6 @@ class Engine:
             heapq.heappush(far, ev)
         self._seq = seq
         del bucket[:]
-        self._ring_has_ev[cycle & _MASK] = False
 
     def _raise_horizon(self) -> None:
         detail = (f"event horizon exceeded max_cycles="
@@ -372,10 +446,12 @@ class Engine:
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""
         self._stopped = True
-        self._drain_ctl[0] = 1
 
     def step(self) -> bool:
-        """Fire the next pending event. Returns False when none remain."""
+        """Fire the next pending entry. Returns False when none remain.
+
+        A retry batch is one entry: stepping onto it fires all of its
+        members (each counted as one event)."""
         max_cycles = self.max_cycles
         while True:
             lst = self._cur
@@ -405,17 +481,26 @@ class Engine:
                         # cannot corrupt the live counter.
                         ev.cancelled = True
                 else:
-                    cb = ev  # bare schedule_call callback
+                    cb = ev  # bare schedule_call callback or retry batch
                 if cyc > max_cycles:
                     self._cur_idx = idx
                     self._raise_horizon()
-                self._cur_idx = idx
                 # Null the fired slot: a released-and-reacquired bucket
                 # re-drains from index 0, and a live reference here could
                 # by then be a reused event (or would re-fire a bare
                 # callback).
                 lst[idx - 1] = None
                 self.now = cyc
+                if cb.__class__ is RetryBatch:
+                    try:
+                        self._fire_retries(cb, cyc)
+                    finally:
+                        if cb.pos < len(cb.members):
+                            lst[idx - 1] = cb
+                            idx -= 1
+                        self._cur_idx = idx
+                    return True
+                self._cur_idx = idx
                 self._live -= 1
                 self._events_fired += 1
                 cb()
@@ -427,6 +512,7 @@ class Engine:
         self._stopped = False
         max_cycles = self.max_cycles
         pool = self._pool
+        fire_retries = self._fire_retries
         while not self._stopped:
             if self._live == 0:
                 return
@@ -441,7 +527,6 @@ class Engine:
             if until is not None and cyc > until:
                 self._park(cyc, until)
                 return
-            over = cyc > max_cycles
             # ``now`` is a per-cycle fact, not a per-event one: set it once
             # per batch (every callback in it fires at this cycle).
             self.now = cyc
@@ -451,76 +536,114 @@ class Engine:
             # callback observes them mid-cycle; ``snapshot()`` is only
             # read between runs) and ``finally`` keeps them — and the
             # resume cursor — consistent on stop(), park, and errors.
+            # Retry batches keep their own counts (``_fire_retries``).
             idx = self._cur_idx
             fired = 0
             try:
-                if over:
-                    # Past the horizon: the first live event raises. Skips
-                    # (and event-pool handling) mirror the drain loop below
-                    # so the cursor state on raise matches the historical
-                    # per-event check exactly.
-                    while idx < len(lst):
-                        ev = lst[idx]
-                        idx += 1
-                        if ev is None:
+                while idx < len(lst):
+                    ev = lst[idx]
+                    idx += 1
+                    if ev is None:
+                        continue
+                    if ev.__class__ is Event:
+                        if ev.cancelled:
                             continue
-                        if ev.__class__ is Event:
-                            if ev.cancelled:
-                                continue
-                            cb = ev.callback
-                            if ev._pooled:
-                                ev.callback = None
-                                if len(pool) < _POOL_MAX:
-                                    pool.append(ev)
-                            else:
-                                ev.cancelled = True
-                        self._raise_horizon()
-                else:
-                    if not self._ring_has_ev[cyc & _MASK]:
-                        # Steady-state cycles hold only bare schedule_call
-                        # callbacks: hand the whole bucket to the compilable
-                        # drain kernel. It returns on stop(), on a raise, or
-                        # when a callback schedule()s an Event into this
-                        # very bucket (ctl[2]); the Python loop below picks
-                        # up from the reconciled cursor either way.
-                        ctl = self._drain_ctl
-                        ctl[0] = 0
-                        ctl[1] = idx
-                        ctl[2] = 0
-                        ctl[3] = fired
-                        try:
-                            _hot.drain_calls(lst, ctl)
-                        finally:
-                            idx = ctl[1]
-                            fired = ctl[3]
-                        if self._stopped:
-                            return
-                    while idx < len(lst):
-                        ev = lst[idx]
-                        idx += 1
-                        if ev is None:
-                            continue
-                        if ev.__class__ is Event:
-                            if ev.cancelled:
-                                continue
-                            cb = ev.callback
-                            if ev._pooled:
-                                ev.callback = None
-                                if len(pool) < _POOL_MAX:
-                                    pool.append(ev)
-                            else:
-                                ev.cancelled = True
+                        cb = ev.callback
+                        if ev._pooled:
+                            ev.callback = None
+                            if len(pool) < _POOL_MAX:
+                                pool.append(ev)
                         else:
-                            cb = ev  # bare schedule_call callback
-                        lst[idx - 1] = None
+                            ev.cancelled = True
+                    else:
+                        cb = ev  # bare schedule_call callback or retry batch
+                    if cyc > max_cycles:
+                        # Past the horizon: the first live entry raises.
+                        self._raise_horizon()
+                    lst[idx - 1] = None
+                    if cb.__class__ is RetryBatch:
+                        try:
+                            fire_retries(cb, cyc)
+                        finally:
+                            if cb.pos < len(cb.members):
+                                # Stopped or raised mid-batch: the unfired
+                                # members keep their place in the bucket.
+                                lst[idx - 1] = cb
+                                idx -= 1
+                    else:
                         fired += 1
                         cb()
-                        if self._stopped:
-                            return
+                    if self._stopped:
+                        return
             finally:
                 self._cur_idx = idx
                 self._live -= fired
                 self._events_fired += fired
+
+    def _fire_retries(self, batch: RetryBatch, cyc: int) -> None:
+        """Fire ``batch``'s members from ``batch.pos`` on, in order.
+
+        A member whose gate epoch is unchanged since it last reported
+        itself blocked is re-armed without calling its poll (with
+        ``audit_retries`` set, the poll is asked anyway and a disagreement
+        raises). Re-armed members join the retry batch that is last in
+        the bucket ``RETRY_DELAY`` cycles ahead, or start one — exactly
+        where one event per retry would have been appended.
+        """
+        members = batch.members
+        n = len(members)
+        i = batch.pos
+        audit = self.audit_retries
+        t = cyc + RETRY_DELAY
+        bt = self._ring[t & _MASK]
+        nxt = None
+        rearmed = 0
+        try:
+            while i < n:
+                m = members[i]
+                i += 1
+                poll, gate, ep = m
+                if gate.epoch == ep:
+                    if audit and poll(True) is not gate:
+                        self._retry_skip_violation(poll, gate, cyc)
+                else:
+                    r = poll()
+                    if r is None:
+                        if self._stopped:
+                            break
+                        continue
+                    if r is True:
+                        m = (poll, _UNGATED, -1)
+                    else:
+                        m = (poll, r, r.epoch)
+                rearmed += 1
+                if nxt is None or bt[-1] is not nxt:
+                    last = bt[-1] if bt else None
+                    if last.__class__ is RetryBatch:
+                        nxt = last
+                    else:
+                        if not bt:
+                            heapq.heappush(self._ring_cycles, t)
+                        nxt = RetryBatch([])
+                        bt.append(nxt)
+                    append = nxt.members.append
+                append(m)
+        finally:
+            fired = i - batch.pos
+            batch.pos = i
+            self._live += rearmed - fired
+            self._events_fired += fired
+
+    def _retry_skip_violation(self, poll, gate: RetryGate, cyc: int) -> None:
+        detail = ("a retry member was re-armed on an unchanged gate epoch "
+                  f"({gate.epoch}) but its poll no longer reports itself "
+                  "blocked on that gate: some unblock path does not bump "
+                  "the bank's RetryGate")
+        if self.diagnostics is not None:
+            detail += "\n" + self.diagnostics()
+        raise InvariantViolation(
+            invariant="engine.retry.epoch_skip", event=f"{poll!r} @{cyc}",
+            detail=detail, citation="DESIGN.md Appendix D, Retry batches")
 
     def peek(self) -> Optional[int]:
         """Cycle of the next live event, or None if the queue is empty."""

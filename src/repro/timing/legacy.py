@@ -2,8 +2,8 @@
 
 This is the engine the repository shipped with before the bucketed
 fast-path engine replaced it in :mod:`repro.timing.engine`. It is retained
-verbatim (plus a :meth:`LegacyEngine.schedule_call` compatibility shim) for
-two reasons:
+verbatim (plus :meth:`LegacyEngine.schedule_call` and
+:meth:`LegacyEngine.schedule_retry` compatibility shims) for two reasons:
 
 * the differential battery in ``tests/test_engine_differential.py`` replays
   randomized schedule/cancel/run sequences — and whole Fig. 9 cells —
@@ -22,6 +22,7 @@ import heapq
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
+from repro.timing.engine import RETRY_DELAY
 
 Callback = Callable[[], None]
 
@@ -67,6 +68,9 @@ class LegacyEngine:
         self._seq = 0
         self._events_fired = 0
         self._stopped = False
+        #: Accepted for interface parity with the fast engine, which uses
+        #: it to cross-check skipped retry polls; nothing is skipped here.
+        self.audit_retries = False
         #: Optional () -> str hook appended to DeadlockError messages
         #: (the sanitizer attaches its recent-event tail here).
         self.diagnostics: Optional[Callable[[], str]] = None
@@ -99,6 +103,20 @@ class LegacyEngine:
         on both engines, which is what the differential tests rely on.
         """
         self.schedule(cycle, callback)
+
+    def schedule_retry(self, cycle: int, poll: Callable[..., object]) -> None:
+        """The fast engine's retry primitive as one plain event per poll.
+
+        No batches and no epoch skip: every poll runs its predicate, and a
+        still-blocked poll (non-None result) schedules its next poll
+        ``RETRY_DELAY`` cycles later. This is the oracle the batched
+        retries are checked against.
+        """
+        def fire() -> None:
+            if poll() is not None:
+                self.schedule(self.now + RETRY_DELAY, fire)
+
+        self.schedule(cycle, fire)
 
     # ------------------------------------------------------------------
     # Execution

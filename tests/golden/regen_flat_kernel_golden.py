@@ -1,11 +1,9 @@
-"""Regenerate ``flat_kernel_golden.json`` from the object-kernel oracle.
+"""Regenerate ``flat_kernel_golden.json``.
 
-The capture pins the payloads of the three protocols the flat kernel
-re-implements (RCC, RCC-WO, MESI) across the battery workloads and every
-registered lease policy, as produced by the **object kernel** (the
-dict-of-dataclass controllers the flat kernel must be bit-identical to).
-``RCC_FLAT_KERNEL=0`` is forced so a regen on a post-refactor tree still
-captures the oracle, not the kernel under test.
+The capture pins the payloads of RCC, RCC-WO and MESI across the battery
+workloads and every registered lease policy, as produced by the object
+controllers. (The name is historical: the golden was built to pin the
+flat-array kernel, since retired, against these controllers.)
 
 Only run this when a *deliberate* protocol behavior change lands; commit
 the regenerated file in the same PR as the change. Usage::
@@ -19,8 +17,6 @@ import hashlib
 import json
 import os
 import subprocess
-
-os.environ["RCC_FLAT_KERNEL"] = "0"  # before any repro import
 
 from repro.config import GPUConfig
 from repro.core.lease_policy import available_lease_policies

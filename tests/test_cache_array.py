@@ -1,9 +1,8 @@
 """Unit tests for the set-associative cache array.
 
-Parametrized over both tag-array implementations — the object
-``CacheArray`` and the flat-column ``FlatTagArray`` — which must honor
-the same contract (the flat kernel swaps one for the other underneath
-unmodified controller cold paths).
+The tests take the implementation as a fixture (one, ``CacheArray``,
+since the flat-column array was retired), so another tag array must
+pass the same contract by joining its parameter list.
 """
 
 import pytest
@@ -11,11 +10,10 @@ import pytest
 from repro.common.types import L1State
 from repro.config import CacheConfig
 from repro.errors import SimulationError
-from repro.kernel.layout import FlatTagArray
 from repro.mem.cache_array import CacheArray
 
 
-@pytest.fixture(params=[CacheArray, FlatTagArray], ids=["object", "flat"])
+@pytest.fixture(params=[CacheArray], ids=["object"])
 def arr_cls(request):
     return request.param
 
@@ -96,9 +94,9 @@ def test_remove(arr_cls):
 
 
 def test_removed_line_keeps_fields(arr_cls):
-    """A reference held across remove() still reads the departed line —
-    stale-``CacheLine`` aliasing the flat views must reproduce (the MESI
-    eviction-recall path hands removed lines to ``_on_evict``)."""
+    """A reference held across remove() still reads the departed line
+    (the MESI eviction-recall path hands removed lines to
+    ``_on_evict``)."""
     arr = make_array(arr_cls)
     line = arr.insert(0x100, L1State.V)
     line.value = "old"
@@ -129,8 +127,8 @@ def test_set_lines(arr_cls):
 
 def test_equal_lru_tie_breaks_by_insertion_order(arr_cls):
     """Victim tie-breaking is deterministic: with equal LRU ticks the
-    first-inserted line wins (strict ``<`` scan in both kernels — dict
-    insertion order in the object array, way order in the flat one).
+    first-inserted line wins (strict ``<`` scan in dict insertion
+    order).
     Equal ticks cannot occur in a simulation (the shared global counter
     is unique), but the scan must stay pinned so a future tick-source
     change cannot silently reshuffle victims."""

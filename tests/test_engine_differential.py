@@ -17,7 +17,7 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.exec import SimCell, run_cell
-from repro.timing.engine import Engine
+from repro.timing.engine import Engine, RetryGate
 from repro.timing.legacy import LegacyEngine
 
 # ----------------------------------------------------------------------
@@ -26,28 +26,65 @@ from repro.timing.legacy import LegacyEngine
 # A script is a list of top-level ops:
 #   ("sched", delay, tag, nested)  schedule() with a handle kept under tag
 #   ("call",  delay, tag, nested)  schedule_call() (no handle)
+#   ("retry", delay, tag, gated, nested)
+#                                  schedule_retry() of a poll that proceeds
+#                                  (logging ``tag``) once a token is free
+#   ("release", delay, tag)        schedule_call() of a callback that frees
+#                                  one token and bumps the gate's epoch
 #   ("cancel", tag)                cancel tag's handle if one exists
 #   ("run_until", delta)           run(until=now + delta)
 #   ("run",)                       drain everything queued so far
 # ``nested`` is a list of (kind, delay, tag) scheduled from inside the
 # callback when it fires — the mid-drain insertion case the bucket
-# cursor must handle.
+# cursor must handle. Nested kinds are "sched", "call", "retry_g" (gated
+# retry), "retry_u" (ungated retry) and "release".
+#
+# A blocked retry poll reports the script's RetryGate when ``gated`` (the
+# fast engine may then skip re-polling it until a release bumps the
+# epoch) and True otherwise. The legacy engine polls every time, so equal
+# logs prove the skips were exact.
 
 
 def exec_script(engine, script):
     log = []
     handles = {}
+    tokens = [0]
+    gate = RetryGate()
 
     def make_cb(tag, nested):
         def cb():
             log.append((engine.now, tag))
             for kind, delay, sub in nested:
+                at = engine.now + delay
                 if kind == "call":
-                    engine.schedule_call(engine.now + delay, make_cb(sub, ()))
+                    engine.schedule_call(at, make_cb(sub, ()))
+                elif kind == "sched":
+                    handles[sub] = engine.schedule(at, make_cb(sub, ()))
+                elif kind == "release":
+                    engine.schedule_call(at, make_release(sub))
                 else:
-                    handles[sub] = engine.schedule(engine.now + delay,
-                                                   make_cb(sub, ()))
+                    engine.schedule_retry(
+                        at, make_poll(sub, kind == "retry_g", ()))
         return cb
+
+    def make_release(tag):
+        def release():
+            log.append((engine.now, tag))
+            tokens[0] += 1
+            gate.epoch += 1
+        return release
+
+    def make_poll(tag, gated, nested):
+        proceed = make_cb(tag, nested)
+
+        def poll(dry=False):
+            if not tokens[0]:
+                return gate if gated else True
+            if not dry:
+                tokens[0] -= 1
+                proceed()
+            return None
+        return poll
 
     for op in script:
         kind = op[0]
@@ -58,6 +95,13 @@ def exec_script(engine, script):
         elif kind == "call":
             _, delay, tag, nested = op
             engine.schedule_call(engine.now + delay, make_cb(tag, nested))
+        elif kind == "retry":
+            _, delay, tag, gated, nested = op
+            engine.schedule_retry(engine.now + delay,
+                                  make_poll(tag, gated, nested))
+        elif kind == "release":
+            _, delay, tag = op
+            engine.schedule_call(engine.now + delay, make_release(tag))
         elif kind == "cancel":
             handle = handles.get(op[1])
             if handle is not None:
@@ -120,12 +164,67 @@ def random_script(rng):
     return script
 
 
+def random_retry_script(rng):
+    """Retries and releases mixed into schedule/call/park traffic.
+
+    Releases are kept scarcer than retries so batches build up and stay
+    blocked for several polls; delays include the retry interval (8) so
+    deliveries land between retries of one bucket. The closing releases
+    free enough tokens for every retry to proceed, so the final drain
+    ends."""
+    delays = [0, 1, 3, 8, 8, 16, 40, 511, 513, 900]
+    script = []
+    tag = 0
+    for _ in range(rng.randrange(6, 50)):
+        roll = rng.random()
+        if roll < 0.35:
+            nested = [(rng.choice(["call", "sched", "retry_g", "retry_u",
+                                   "release"]),
+                       rng.choice(delays), f"n{tag}-{j}")
+                      for j in range(rng.randrange(0, 3))]
+            script.append(("retry", rng.choice(delays), f"t{tag}",
+                           rng.random() < 0.7, nested))
+            tag += 1
+        elif roll < 0.5:
+            script.append(("release", rng.choice(delays) + 24, f"r{tag}"))
+            tag += 1
+        elif roll < 0.7:
+            nested = [("call", rng.choice(delays), f"n{tag}-{j}")
+                      for j in range(rng.randrange(0, 3))]
+            script.append(("call", rng.choice(delays), f"t{tag}", nested))
+            tag += 1
+        elif roll < 0.78:
+            script.append(("sched", rng.choice(delays), f"t{tag}", ()))
+            tag += 1
+        else:
+            # No bare ("run",): a blocked retry polls until released.
+            script.append(("run_until", rng.choice([0, 1, 5, 8, 60, 513])))
+    # Each op adds at most three retries (itself and two nested ones).
+    script += [("release", 8 * k, f"end{k}") for k in range(3 * tag + 1)]
+    return script
+
+
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(12))
 def test_randomized_scripts_match_legacy(seed):
     rng = random.Random(987_000 + seed)
     for round_no in range(40):
         script = random_script(rng)
+        fast, slow = observe(script)
+        if fast != slow:
+            minimal = shrink(script)
+            pytest.fail(
+                f"engines diverged (seed {seed}, round {round_no}); "
+                f"minimal script: {minimal!r}\n"
+                f"fast:   {exec_script(Engine(), minimal)}\n"
+                f"legacy: {exec_script(LegacyEngine(), minimal)}")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_randomized_retry_scripts_match_legacy(seed):
+    rng = random.Random(424_000 + seed)
+    for round_no in range(30):
+        script = random_retry_script(rng)
         fast, slow = observe(script)
         if fast != slow:
             minimal = shrink(script)
@@ -166,8 +265,8 @@ def test_park_and_resume_with_earlier_insertion():
 
 
 # ----------------------------------------------------------------------
-# Drain-path edges: a callback-only bucket goes through the batch
-# hot-kernel drain on the fast engine; these pins hold on both engines.
+# Drain-path edges: the fast engine walks a bucket by index while its
+# callbacks extend it; these pins hold on both engines.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine_cls", [Engine, LegacyEngine],
                          ids=["fast", "legacy"])
@@ -189,10 +288,9 @@ def test_stop_from_bare_callback_mid_drain(engine_cls):
 
 def test_event_appended_to_current_bucket_mid_drain():
     # A bare callback scheduling a cancellable *Event* into its own cycle
-    # forces the fast engine to abandon the batch drain mid-bucket (the
-    # bucket no longer holds only bare callbacks). Firing order must stay
-    # submission order on both engines, and cancelling the fresh handle
-    # from a sibling callback must suppress it.
+    # mixes both entry kinds in the bucket being drained. Firing order
+    # must stay submission order on both engines, and cancelling the
+    # fresh handle from a sibling callback must suppress it.
     def script_ops(eng, log, cancel_it):
         box = {}
 

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.errors import FAILURE_KINDS, HarnessError
+from repro.errors import FAILURE_KINDS, ConfigError, HarnessError
 from repro.exec import RetryPolicy, SweepExecutor
 from repro.harness import runner as runner_cli
 
@@ -123,8 +123,11 @@ class TestTimeoutAndRetry:
     def test_retry_policy_env_override(self, monkeypatch):
         monkeypatch.setenv("RCC_MAX_ATTEMPTS", "1")
         assert RetryPolicy.from_env().max_attempts == 1
-        monkeypatch.setenv("RCC_MAX_ATTEMPTS", "junk")
+        monkeypatch.setenv("RCC_MAX_ATTEMPTS", "")
         assert RetryPolicy.from_env().max_attempts == 3
+        monkeypatch.setenv("RCC_MAX_ATTEMPTS", "junk")
+        with pytest.raises(ConfigError, match="RCC_MAX_ATTEMPTS"):
+            RetryPolicy.from_env()
 
     def test_backoff_is_bounded_exponential(self):
         policy = RetryPolicy(max_attempts=9, base_delay=0.05, max_delay=0.3)

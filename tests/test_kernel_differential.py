@@ -1,16 +1,17 @@
-"""Differential battery: flat-array protocol kernel vs the object oracle.
+"""Differential battery: the event kernel vs its legacy oracle.
 
-The flat kernel (``repro.kernel``) restructures per-block protocol state
-into parallel arrays and table-driven transitions; the object kernel
-(dict-of-dataclass controllers) stays in the tree as its oracle. This
-battery flips ``RCC_FLAT_KERNEL`` between two runs of the *same* cell
-in one process and demands:
+The default event kernel (:class:`repro.timing.Engine`) coalesces L2
+retry polls into batches and re-arms a gated poll without calling it
+while its bank's unblock epoch is unchanged. :class:`LegacyEngine`
+fires one event per poll and calls every poll, so it stays the oracle.
+This battery flips ``RCC_LEGACY_ENGINE`` between two runs of the *same*
+cell in one process and demands:
 
 * bit-identical result payloads (cycles, stats, per-block values) on
-  fresh seeds the golden file does not cover;
+  seeds the golden file does not cover;
 * an **identical sanitizer event stream** — same transitions at the same
-  cycles with the same fields, event for event — proving the flat
-  handlers preserve every emission point, not just the end state;
+  cycles with the same fields, event for event — proving batching and
+  the epoch skip move no emission point, not just the end state;
 * a clean sanitized run under both kernels (no invariant violations).
 """
 
@@ -26,18 +27,24 @@ from repro.core.lease_policy import (FixedLeasePolicy,
                                      register_lease_policy,
                                      unregister_lease_policy)
 from repro.exec import SimCell, run_cell
-from repro.kernel import flat_kernel_enabled
 from repro.sanitize.sanitizer import Sanitizer
 from repro.sim.gpusim import run_simulation
+from repro.timing import Engine, LegacyEngine, make_engine
 from repro.workloads import get_workload
 
 PROTOCOLS = ("RCC", "RCC-WO", "MESI")
 
 
-def _payload(cell, monkeypatch, flat: bool):
-    monkeypatch.setenv("RCC_FLAT_KERNEL", "1" if flat else "0")
-    monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
-    assert flat_kernel_enabled() == flat
+def _use_legacy(monkeypatch, legacy: bool) -> None:
+    if legacy:
+        monkeypatch.setenv("RCC_LEGACY_ENGINE", "1")
+    else:
+        monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
+    assert type(make_engine()) is (LegacyEngine if legacy else Engine)
+
+
+def _payload(cell, monkeypatch, legacy: bool):
+    _use_legacy(monkeypatch, legacy)
     return run_cell(cell).to_payload()
 
 
@@ -47,29 +54,29 @@ def _payload(cell, monkeypatch, flat: bool):
 def test_payload_bit_identical(protocol, workload, seed, monkeypatch):
     cell = SimCell(cfg=GPUConfig.small(), protocol=protocol,
                    workload=workload, intensity=0.5, seed=seed)
-    flat = _payload(cell, monkeypatch, flat=True)
-    obj = _payload(cell, monkeypatch, flat=False)
-    assert json.dumps(flat, sort_keys=True) == json.dumps(obj, sort_keys=True)
+    fast = _payload(cell, monkeypatch, legacy=False)
+    legacy = _payload(cell, monkeypatch, legacy=True)
+    assert json.dumps(fast, sort_keys=True) == json.dumps(legacy,
+                                                          sort_keys=True)
 
 
 @pytest.mark.parametrize("policy", sorted(available_lease_policies()))
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_policy_override_bit_identical(protocol, policy, monkeypatch):
-    """Every built-in lease policy's arithmetic now runs *inside* the
-    fused L2 grant handler (``hot.rcc_l2_gets`` + the ``_policy_*``
-    helpers) — the atomic-heavy dlb cell must stay bit-identical to the
-    object controllers running the policy objects."""
+    """Every built-in lease policy on the atomic-heavy dlb cell, where
+    IAV lines park atomics behind retries: the batched kernel must match
+    the one-event-per-poll oracle exactly."""
     cell = SimCell(cfg=GPUConfig.small(), protocol=protocol,
                    workload="dlb", intensity=1.0, seed=31,
                    ts_overrides=(("lease_policy", policy),))
-    flat = _payload(cell, monkeypatch, flat=True)
-    obj = _payload(cell, monkeypatch, flat=False)
-    assert flat == obj
+    fast = _payload(cell, monkeypatch, legacy=False)
+    legacy = _payload(cell, monkeypatch, legacy=True)
+    assert fast == legacy
 
 
 class _ProbeHalfLease(FixedLeasePolicy):
-    """Registered subclass: must NOT be treated as the built-in fixed
-    policy by the fused kernel (exact-type detection -> P_OTHER)."""
+    """Registered subclass policy: halves the fixed lease, so grants and
+    renewals (and the retries they cause) differ from the built-in."""
 
     name = "probe-half"
 
@@ -80,26 +87,23 @@ class _ProbeHalfLease(FixedLeasePolicy):
 
 @pytest.mark.parametrize("protocol", ("RCC", "RCC-WO"))
 def test_registered_subclass_policy_bit_identical(protocol, monkeypatch):
-    """A registered *subclass* policy takes the R_NEED_LEASE escape: the
-    fused handler bumps the hit stat, then defers the grant to the
-    wrapper running the real policy object. Payloads must match the
-    object kernel exactly, proving the escape hatch loses nothing."""
+    """A registered policy runs through the same L2 grant path on both
+    kernels; payloads must match exactly."""
     register_lease_policy(_ProbeHalfLease, replace=True)
     try:
         cell = SimCell(cfg=GPUConfig.small(), protocol=protocol,
                        workload="dlb", intensity=1.0, seed=31,
                        ts_overrides=(("lease_policy", "probe-half"),))
-        flat = _payload(cell, monkeypatch, flat=True)
-        obj = _payload(cell, monkeypatch, flat=False)
-        assert flat == obj
+        fast = _payload(cell, monkeypatch, legacy=False)
+        legacy = _payload(cell, monkeypatch, legacy=True)
+        assert fast == legacy
     finally:
         unregister_lease_policy("probe-half")
 
 
-def _event_stream(protocol: str, monkeypatch, flat: bool):
+def _event_stream(protocol: str, monkeypatch, legacy: bool):
     """Run one sanitized simulation, teeing every Sanitizer.emit call."""
-    monkeypatch.setenv("RCC_FLAT_KERNEL", "1" if flat else "0")
-    monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
+    _use_legacy(monkeypatch, legacy)
     events = []
     real_emit = Sanitizer.emit
 
@@ -119,15 +123,15 @@ def _event_stream(protocol: str, monkeypatch, flat: bool):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_sanitizer_event_stream_identical(protocol, monkeypatch):
-    flat_events, flat_payload = _event_stream(protocol, monkeypatch,
-                                              flat=True)
-    obj_events, obj_payload = _event_stream(protocol, monkeypatch,
-                                            flat=False)
-    assert flat_payload == obj_payload
-    assert len(flat_events) == len(obj_events), \
-        f"{protocol}: flat kernel emits a different number of events"
-    for i, (fe, oe) in enumerate(zip(flat_events, obj_events)):
-        assert fe == oe, (
+    fast_events, fast_payload = _event_stream(protocol, monkeypatch,
+                                              legacy=False)
+    legacy_events, legacy_payload = _event_stream(protocol, monkeypatch,
+                                                  legacy=True)
+    assert fast_payload == legacy_payload
+    assert len(fast_events) == len(legacy_events), \
+        f"{protocol}: the batched kernel emits a different number of events"
+    for i, (fe, le) in enumerate(zip(fast_events, legacy_events)):
+        assert fe == le, (
             f"{protocol}: sanitizer event #{i} diverges:\n"
-            f"  flat:   {fe}\n  object: {oe}")
-    assert flat_events, "sanitized run produced no events (vacuous test)"
+            f"  fast:   {fe}\n  legacy: {le}")
+    assert fast_events, "sanitized run produced no events (vacuous test)"

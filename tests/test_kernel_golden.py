@@ -1,21 +1,19 @@
-"""Golden-payload battery: the flat kernel is bit-identical to the oracle.
+"""Golden-payload battery: 72 RCC / RCC-WO / MESI cells, bit for bit.
 
 Every hash in ``tests/golden/flat_kernel_golden.json`` was captured from
-the **object kernel** (``RCC_FLAT_KERNEL=0``) — the dict-of-dataclass
-controllers the flat-array kernel transliterates. The grid covers the
-three protocols the flat kernel re-implements (RCC, RCC-WO, MESI) across
-the battery workloads, every registered lease policy, and two
-intensities on the small machine. Recomputing each cell with the flat
-kernel forced on and comparing payload SHA-256 proves the restructuring
-changed *nothing observable* — not cycles, not stats, not a single
-payload field.
+the object controllers. The grid covers RCC, RCC-WO and MESI across the
+battery workloads, every registered lease policy, and two intensities on
+the small machine. Recomputing each cell and comparing payload SHA-256
+proves that engine and controller restructurings (the retired flat-array
+kernel, the batched L2 retries) changed *nothing observable* — not
+cycles, not stats, not a single payload field. The file and test names
+keep the flat kernel's name because the golden was built to pin it.
 
 If a deliberate protocol behavior change lands later, regenerate with::
 
     PYTHONPATH=src python tests/golden/regen_flat_kernel_golden.py
 
-(the regen script forces the object kernel, so it always captures the
-oracle even on a post-refactor tree) and say so in the commit message.
+and say so in the commit message.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import pytest
 from repro.config import GPUConfig
 from repro.core.lease_policy import available_lease_policies
 from repro.exec import SimCell, run_cell
-from repro.kernel import flat_kernel_enabled
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "flat_kernel_golden.json")
@@ -41,11 +38,9 @@ assert GOLDEN["kind"] == "flat-kernel-golden" and GOLDEN["schema"] == 1
 
 
 @pytest.fixture(autouse=True)
-def _force_flat_kernel(monkeypatch):
-    """Pin the kernel under test: flat on, legacy escape hatch off."""
-    monkeypatch.setenv("RCC_FLAT_KERNEL", "1")
+def _fast_engine(monkeypatch):
+    """Pin the engine under test: the legacy escape hatch off."""
     monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
-    assert flat_kernel_enabled()
 
 
 def payload_hash(result) -> str:
@@ -70,10 +65,9 @@ def test_flat_kernel_bit_identical(key):
     assert result.mem_ops == expected["mem_ops"], \
         f"{key}: mem_ops drifted (workload generation changed)"
     assert result.cycles == expected["cycles"], \
-        f"{key}: cycles drifted (flat kernel timing diverged)"
+        f"{key}: cycles drifted (timing diverged)"
     assert payload_hash(result) == expected["payload_sha256"], (
-        f"{key}: result payload differs from the object-kernel oracle — "
-        "the flat-array kernel is no longer bit-identical")
+        f"{key}: result payload differs from the golden capture")
 
 
 def test_golden_grid_shape():

@@ -1,12 +1,13 @@
-"""Pins for the flat kernel's integer encodings and transition tables.
+"""Fill-target and victim-selection pins for the tag array.
 
-The hot module hard-codes state codes as integers so the optional
-compiled build never touches enum objects; the generic
-:class:`FlatTagArray` derives its encode/decode maps from enum
-definition order at runtime. These tests weld the two together — if
-someone reorders a state enum, inserts a member, or edits a table, the
-mismatch fails here rather than as a silent mis-dispatch — and pin
-victim-selection parity between the kernels with a randomized replay.
+:class:`CacheArray` picks where a fill lands: no eviction while the set
+has room, otherwise the least-recently-used unpinned invalid line, else
+the least-recently-used unpinned line, and a refusal (``can_allocate``
+False, ``insert`` raising) when every line is pinned. These tests check
+that choice on randomized single-set grids against a brute-force pick,
+and replay randomized op scripts against :class:`_FlatModel`, an
+independent flat-column (slot = set * assoc + way) model of the same
+contract, comparing every eviction in order.
 """
 
 from __future__ import annotations
@@ -15,111 +16,134 @@ import random
 
 import pytest
 
-from repro.common.types import L1State, L2State
+from repro.common.types import L1State
 from repro.config import CacheConfig
-from repro.kernel import hot
-from repro.kernel.layout import FlatTagArray
+from repro.errors import SimulationError
 from repro.mem.cache_array import CacheArray
 
 # ----------------------------------------------------------------------
-# State encodings
+# Fill-target selection on one set
 # ----------------------------------------------------------------------
 
-L1_CODES = {"I": hot.L1_I, "V": hot.L1_V, "IV": hot.L1_IV,
-            "II": hot.L1_II, "VI": hot.L1_VI}
-L2_CODES = {"I": hot.L2_I, "V": hot.L2_V, "IV": hot.L2_IV,
-            "IAV": hot.L2_IAV}
 
+@pytest.mark.parametrize("seed", range(6))
+def test_pick_slot_is_free_way_first_else_victim(seed):
+    """Randomized occupancy/pin/LRU/state grids: a set with room takes
+    the fill without evicting; a full set evicts exactly the brute-force
+    victim, and refuses (``can_allocate`` False, ``insert`` raising)
+    when every line is pinned."""
+    rng = random.Random(seed)
+    assoc = 4
+    cfg = CacheConfig(size_bytes=assoc * 128, assoc=assoc, block_bytes=128)
+    states = [L1State.I, L1State.V, L1State.IV, L1State.VI]
+    for _ in range(500):
+        arr = CacheArray(cfg, L1State.I)
+        n_used = sum(rng.random() < 0.8 for _ in range(assoc))
+        lines = [arr.insert(i * 128, rng.choice(states))
+                 for i in range(n_used)]
+        for ln in lines:
+            ln.pinned = rng.random() < 0.3
+        order = rng.sample(lines, len(lines))  # oldest first
+        for ln in order:
+            ln.touch()
+        new_addr = assoc * 128
+        assert arr.lookup(new_addr) is None
+        for ln in lines:
+            assert arr.can_allocate(ln.addr)  # a resident line always fits
 
-def test_l1_codes_are_definition_order():
-    assert [m.name for m in L1State] == ["I", "V", "IV", "II", "VI"]
-    for i, member in enumerate(L1State):
-        assert L1_CODES[member.name] == i
-    assert hot.L1_NONE == len(L1State)
+        if n_used < assoc:
+            want = []
+        else:
+            free = [ln for ln in order if not ln.pinned]
+            invalid = [ln for ln in free if ln.state is L1State.I]
+            pool = invalid or free
+            want = [pool[0].addr] if pool else None
+        grid = [(ln.addr, ln.state.name, ln.pinned) for ln in order]
+        assert arr.can_allocate(new_addr) == (want is not None), grid
 
-
-def test_l2_codes_are_definition_order():
-    assert [m.name for m in L2State] == ["I", "V", "IV", "IAV"]
-    for i, member in enumerate(L2State):
-        assert L2_CODES[member.name] == i
-    assert hot.L2_NONE == len(L2State)
-
-
-@pytest.mark.parametrize("enum_cls,none_code", [(L1State, hot.L1_NONE),
-                                                (L2State, hot.L2_NONE)])
-def test_layout_encoding_matches_hot(enum_cls, none_code):
-    """FlatTagArray's runtime-derived maps agree with the constants."""
-    arr = FlatTagArray(CacheConfig(size_bytes=1024, assoc=2,
-                                   block_bytes=128), enum_cls.I)
-    assert arr.decode == tuple(enum_cls)
-    assert arr.encode == {m: i for i, m in enumerate(enum_cls)}
-    assert arr.state_none == none_code
-    assert arr.inv_code == arr.encode[enum_cls.I]
-
-
-# ----------------------------------------------------------------------
-# Transition tables
-# ----------------------------------------------------------------------
-
-ACTIONS = {hot.A_UNREACHED, hot.A_VHIT, hot.A_MISS, hot.A_GRANT,
-           hot.A_MERGE_RD, hot.A_RETRY, hot.A_FETCH, hot.A_APPLY,
-           hot.A_MERGE_WR}
-
-L1_TABLES = {"RCC_L1_LOAD": hot.RCC_L1_LOAD,
-             "MESI_L1_LOAD": hot.MESI_L1_LOAD}
-L2_TABLES = {"RCC_L2_GETS": hot.RCC_L2_GETS,
-             "RCC_L2_WRITE": hot.RCC_L2_WRITE,
-             "RCC_L2_ATOMIC": hot.RCC_L2_ATOMIC,
-             "MESI_L2_GETS": hot.MESI_L2_GETS,
-             "MESI_L2_GETX": hot.MESI_L2_GETX}
-
-
-@pytest.mark.parametrize("name,table", sorted(L1_TABLES.items()))
-def test_l1_tables_cover_every_state(name, table):
-    assert len(table) == len(L1State) + 1, \
-        f"{name}: one cell per L1 state plus the no-tag-entry cell"
-    assert set(table) <= ACTIONS
-
-
-@pytest.mark.parametrize("name,table", sorted(L2_TABLES.items()))
-def test_l2_tables_cover_every_state(name, table):
-    assert len(table) == len(L2State) + 1, \
-        f"{name}: one cell per L2 state plus the no-tag-entry cell"
-    assert set(table) <= ACTIONS
-
-
-def test_table_semantics_spot_checks():
-    """The cells the protocols lean on hardest, pinned one by one."""
-    # L1 load: valid line is a (lease-checked) hit; IV and absent miss.
-    assert hot.RCC_L1_LOAD[hot.L1_V] == hot.A_VHIT
-    assert hot.RCC_L1_LOAD[hot.L1_IV] == hot.A_MISS
-    assert hot.RCC_L1_LOAD[hot.L1_NONE] == hot.A_MISS
-    # RCC L2: V grants/applies instantly; IV merges; IAV blocks (retry).
-    assert hot.RCC_L2_GETS[hot.L2_V] == hot.A_GRANT
-    assert hot.RCC_L2_GETS[hot.L2_IV] == hot.A_MERGE_RD
-    assert hot.RCC_L2_GETS[hot.L2_IAV] == hot.A_RETRY
-    assert hot.RCC_L2_WRITE[hot.L2_V] == hot.A_APPLY
-    assert hot.RCC_L2_WRITE[hot.L2_IV] == hot.A_MERGE_WR
-    # Atomics never merge: anything not V retries or refetches.
-    assert hot.RCC_L2_ATOMIC[hot.L2_V] == hot.A_APPLY
-    assert hot.RCC_L2_ATOMIC[hot.L2_IV] == hot.A_RETRY
-    assert hot.RCC_L2_ATOMIC[hot.L2_IAV] == hot.A_RETRY
-    # MESI has no IAV occupancy; reaching it is a protocol bug.
-    assert hot.MESI_L2_GETS[hot.L2_IAV] == hot.A_UNREACHED
-    assert hot.MESI_L2_GETX[hot.L2_IAV] == hot.A_UNREACHED
+        evicted = []
+        if want is None:
+            with pytest.raises(SimulationError):
+                arr.insert(new_addr, L1State.V,
+                           lambda ln: evicted.append(ln.addr))
+            assert evicted == [], grid
+            assert arr.occupancy() == assoc
+        else:
+            arr.insert(new_addr, L1State.V,
+                       lambda ln: evicted.append(ln.addr))
+            assert evicted == want, grid
+            assert arr.lookup(new_addr) is not None
+            assert arr.occupancy() == min(n_used + 1, assoc)
 
 
 # ----------------------------------------------------------------------
-# Victim-selection parity (object vs flat), randomized replay
+# Victim-selection parity (object vs a flat-column model), randomized
 # ----------------------------------------------------------------------
 
-def _replay(arr, script):
+
+class _FlatModel:
+    """Parallel per-slot columns, slot = set * assoc + way. A fill takes
+    the lowest free way of its set, else the unpinned invalid line with
+    the smallest tick, else the unpinned line with the smallest tick."""
+
+    def __init__(self, cfg: CacheConfig, invalid_state):
+        self.n_sets = cfg.n_sets
+        self.assoc = cfg.assoc
+        self.block = cfg.block_bytes
+        self.inv = invalid_state
+        n = self.n_sets * self.assoc
+        self.used = [False] * n
+        self.addr = [0] * n
+        self.state = [invalid_state] * n
+        self.tick = [0] * n
+        self.pinned = [False] * n
+        self.clock = 0
+
+    def _touch(self, slot):
+        self.clock += 1
+        self.tick[slot] = self.clock
+
+    def _ways(self, addr):
+        base = (addr // self.block % self.n_sets) * self.assoc
+        return range(base, base + self.assoc)
+
+    def find(self, addr):
+        for slot in self._ways(addr):
+            if self.used[slot] and self.addr[slot] == addr:
+                return slot
+        return None
+
+    def insert(self, addr, state, evicted):
+        slot = self.find(addr)
+        if slot is None:
+            ways = self._ways(addr)
+            free = [s for s in ways if not self.used[s]]
+            if free:
+                slot = free[0]
+            else:
+                cands = [s for s in ways if not self.pinned[s]]
+                if not cands:
+                    raise SimulationError("all ways pinned")
+                inv = [s for s in cands if self.state[s] is self.inv]
+                slot = min(inv or cands, key=lambda s: self.tick[s])
+                evicted.append(self.addr[slot])
+            self.used[slot] = True
+            self.addr[slot] = addr
+            self.pinned[slot] = False
+        self.state[slot] = state
+        self._touch(slot)
+
+    def lines(self):
+        return {self.addr[s]: self.state[s]
+                for s in range(len(self.used)) if self.used[s]}
+
+
+def _replay_object(arr, script):
     """Apply a script; return (evicted addr sequence, final tag map).
 
     A fully-pinned set makes insert raise; that is part of the observable
     behavior being compared, so it lands in the log instead of aborting.
     """
-    from repro.errors import SimulationError
     evicted = []
     for op, addr in script:
         if op == "insert":
@@ -128,84 +152,65 @@ def _replay(arr, script):
                            lambda ln: evicted.append(ln.addr))
             except SimulationError:
                 evicted.append(("pinned-full", addr))
-        elif op == "touch":
-            line = arr.lookup(addr)
-            if line is not None:
-                line.touch()
-        elif op == "invalidate":
-            line = arr.lookup(addr)
-            if line is not None:
-                line.state = L1State.I
-        elif op == "pin":
-            line = arr.lookup(addr)
-            if line is not None and not line.pinned:
-                line.pinned = True
-        elif op == "unpin":
-            line = arr.lookup(addr)
-            if line is not None:
-                line.pinned = False
-        elif op == "remove":
+            continue
+        if op == "remove":
             arr.remove(addr)
-    final = {ln.addr: ln.state for ln in arr.lines()}
-    return evicted, final
+            continue
+        line = arr.lookup(addr)
+        if line is None:
+            continue
+        if op == "touch":
+            line.touch()
+        elif op == "invalidate":
+            line.state = L1State.I
+        elif op == "pin":
+            line.pinned = True
+        elif op == "unpin":
+            line.pinned = False
+    return evicted, {ln.addr: ln.state for ln in arr.lines()}
+
+
+def _replay_flat(model, script):
+    evicted = []
+    for op, addr in script:
+        if op == "insert":
+            try:
+                model.insert(addr, L1State.V, evicted)
+            except SimulationError:
+                evicted.append(("pinned-full", addr))
+            continue
+        slot = model.find(addr)
+        if slot is None:
+            continue
+        if op == "remove":
+            model.used[slot] = False
+        elif op == "touch":
+            model._touch(slot)
+        elif op == "invalidate":
+            model.state[slot] = L1State.I
+        elif op == "pin":
+            model.pinned[slot] = True
+        elif op == "unpin":
+            model.pinned[slot] = False
+    return evicted, model.lines()
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_victim_parity_object_vs_flat(seed):
     """The same op script evicts the same victims in the same order from
-    both arrays. Replays are sequential (object first, then flat), so the
-    shared global LRU counter hands each array different absolute ticks —
-    only relative order matters, which is the point being pinned."""
+    the object array and the flat-column model. The shared global LRU
+    counter hands the object array different absolute ticks than the
+    model's own clock — only relative order matters, which is the point
+    being pinned."""
     rng = random.Random(seed)
     cfg = CacheConfig(size_bytes=2048, assoc=4, block_bytes=128)
-    addrs = [i * 128 for i in range(16)]  # 4 blocks per set, 4 sets
+    addrs = [i * 128 for i in range(32)]  # 8 blocks per 4-way set
     ops = ("insert", "insert", "insert", "touch", "touch", "invalidate",
            "pin", "unpin", "remove")
     script = [(rng.choice(ops), rng.choice(addrs)) for _ in range(300)]
-    # Unpin everything at the end so the final inserts cannot raise on a
-    # fully-pinned set in one array but not the other mid-comparison.
-    obj = CacheArray(cfg, L1State.I)
-    flat = FlatTagArray(cfg, L1State.I)
-    obj_ev, obj_final = _replay(obj, script)
-    flat_ev, flat_final = _replay(flat, script)
+    obj_ev, obj_final = _replay_object(CacheArray(cfg, L1State.I), script)
+    flat_ev, flat_final = _replay_flat(_FlatModel(cfg, L1State.I), script)
     assert obj_ev == flat_ev
     assert obj_final == flat_final
-
-
-# ----------------------------------------------------------------------
-# Fill-target selection: pick_slot replaces the two-scan pair
-# ----------------------------------------------------------------------
-
-def test_find_free_way_removed():
-    """``find_free_way`` is gone: the free-way scan is fused into
-    :func:`hot.pick_slot` so steady-state fills pay one pass, not two.
-    This pin stops the dead helper from quietly coming back (and the
-    compiled build from re-exporting it)."""
-    assert not hasattr(hot, "find_free_way")
-    assert callable(hot.pick_slot)
-    assert callable(hot.pick_victim)  # the victim half survives alone
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_pick_slot_is_free_way_first_else_victim(seed):
-    """Randomized occupancy/pin/LRU grids: pick_slot must return the
-    lowest free way when one exists, and exactly ``pick_victim``'s
-    choice otherwise (including the -1 all-pinned case)."""
-    rng = random.Random(seed)
-    assoc = 4
-    inv = hot.L1_I
-    states = [hot.L1_I, hot.L1_V, hot.L1_IV, hot.L1_VI]
-    for _ in range(500):
-        used = [rng.random() < 0.8 for _ in range(assoc)]
-        state = [rng.choice(states) for _ in range(assoc)]
-        lru = rng.sample(range(1, 1000), assoc)
-        pinned = [rng.random() < 0.3 for _ in range(assoc)]
-        got = hot.pick_slot(used, state, lru, pinned, 0, assoc, inv)
-        free = [w for w in range(assoc) if not used[w]]
-        if free:
-            assert got == free[0], (used, pinned)
-        else:
-            want = hot.pick_victim(used, state, lru, pinned, 0, assoc, inv)
-            assert got == want, (used, state, lru, pinned)
-            assert got == -1 or not pinned[got]
-        assert hot.can_fill(used, pinned, 0, assoc) == (got != -1)
+    assert any(isinstance(e, int) for e in obj_ev), \
+        "script evicted nothing (vacuous test)"
