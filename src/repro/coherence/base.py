@@ -94,6 +94,13 @@ class L1ControllerBase:
         self.core = core
         core.attach_l1(self)
 
+    def detach_core(self) -> None:
+        """Inverse of :meth:`attach_core` (simulator teardown)."""
+        core = self.core
+        if core is not None:
+            self.core = None
+            core.attach_l1(None)
+
     # ------------------------------------------------------------------
     # Protocol interface (abstract)
     # ------------------------------------------------------------------

@@ -275,12 +275,14 @@ class MESIL2Controller(L2ControllerBase):
             raise self.unhandled("-", msg.kind, f"addr=0x{msg.addr:x}")
 
     def _retry(self, msg: Message) -> None:
-        # Built once per message and cached in its meta. The poll reports
-        # the request blocked exactly when re-entering the handler would
-        # call ``_retry`` again without side effects (stats are
-        # ``_counted``-guarded, and the handler's ``can_allocate`` fail is
-        # conservatively left to the full path): on the bank's gate when it
-        # waits for a free MSHR, plainly (re-checked every poll) when it
+        # Built once per message and cached in its meta until a proceed
+        # that does not re-park the message drops it (the cached poll and
+        # the message refer to each other; see ``RCCL2Controller._retry``).
+        # The poll reports the request blocked exactly when re-entering the
+        # handler would call ``_retry`` again without side effects (stats
+        # are ``_counted``-guarded, and the handler's ``can_allocate`` fail
+        # is conservatively left to the full path): on the bank's gate when
+        # it waits for a free MSHR, plainly (re-checked every poll) when it
         # waits for invalidation or recall acks. Anything else re-enters
         # the kind-specific handler, identical to re-entering
         # ``on_message`` (pure dispatch; INV_ACKs are never retried).
@@ -314,9 +316,13 @@ class MESIL2Controller(L2ControllerBase):
                 elif len(entries) >= capacity and block not in entries:
                     return gate
                 if not dry:
+                    meta["_retry_parked"] = False
                     proceed()
+                    if not meta.pop("_retry_parked"):
+                        del meta["_retry_poll"]
                 return None
             meta["_retry_poll"] = poll
+        meta["_retry_parked"] = True
         engine = self.engine
         engine.schedule_retry(engine.now + RETRY_DELAY, poll)
 

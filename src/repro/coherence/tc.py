@@ -462,13 +462,16 @@ class TCL2Controller(L2ControllerBase):
         self.fetch_from_dram(block, self._on_dram_data)
 
     def _retry(self, msg: Message, is_read: bool) -> None:
-        # The poll is built once per message and cached in its meta. With
-        # no line present and the bank saturated (MSHRs plus parked leases)
-        # the handler could do nothing but retry again, so the poll reports
-        # itself blocked on the bank's gate; any other state re-enters the
-        # kind-specific handler, identical to re-entering ``on_message``
-        # (pure dispatch). ``_can_allocate`` — whose pin-flag side effects
-        # must be preserved — is left to that full path.
+        # The poll is built once per message and cached in its meta until
+        # a proceed that does not re-park the message drops it (the cached
+        # poll and the message refer to each other; see
+        # ``RCCL2Controller._retry``). With no line present and the bank
+        # saturated (MSHRs plus parked leases) the handler could do nothing
+        # but retry again, so the poll reports itself blocked on the bank's
+        # gate; any other state re-enters the kind-specific handler,
+        # identical to re-entering ``on_message`` (pure dispatch).
+        # ``_can_allocate`` — whose pin-flag side effects must be preserved
+        # — is left to that full path.
         meta = msg.meta
         poll = meta.get("_retry_poll")
         if poll is None:
@@ -493,9 +496,13 @@ class TCL2Controller(L2ControllerBase):
                         and block not in entries):
                     return gate
                 if not dry:
+                    meta["_retry_parked"] = False
                     proceed()
+                    if not meta.pop("_retry_parked"):
+                        del meta["_retry_poll"]
                 return None
             meta["_retry_poll"] = poll
+        meta["_retry_parked"] = True
         engine = self.engine
         engine.schedule_retry(engine.now + RETRY_DELAY, poll)
 

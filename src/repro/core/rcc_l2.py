@@ -111,7 +111,11 @@ class RCCL2Controller(L2ControllerBase):
         # absent and the MSHRs are full, plainly (re-checked every poll)
         # while the line sits in a stalling state. The ``can_allocate``
         # fail case conservatively falls back to the full path. Built once
-        # per message.
+        # per message. The cached poll and the message refer to each other
+        # (meta -> poll -> msg), so a proceed that does not re-park the
+        # message drops the poll, leaving nothing cyclic behind; one that
+        # does re-park it (``_retry`` marks ``_retry_parked`` again) keeps
+        # it for the next round.
         meta = msg.meta
         poll = meta.get("_retry_poll")
         if poll is None:
@@ -149,9 +153,13 @@ class RCCL2Controller(L2ControllerBase):
                                 atomic or block not in entries):
                             return gate
                 if not dry:
+                    meta["_retry_parked"] = False
                     self.on_message(msg)
+                    if not meta.pop("_retry_parked"):
+                        del meta["_retry_poll"]
                 return None
             meta["_retry_poll"] = poll
+        meta["_retry_parked"] = True
         engine = self.engine
         engine.schedule_retry(engine.now + RETRY_DELAY, poll)
 

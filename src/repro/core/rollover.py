@@ -50,6 +50,12 @@ class RolloverManager:
         self._l2s = list(l2s)
         self._drams = list(drams)
 
+    def unwire(self) -> None:
+        """Inverse of :meth:`wire` (simulator teardown)."""
+        self._l1s = []
+        self._l2s = []
+        self._drams = []
+
     # ------------------------------------------------------------------
     def needs_rollover(self, projected_ts: int) -> bool:
         return projected_ts >= self.threshold

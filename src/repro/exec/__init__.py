@@ -6,8 +6,8 @@ See :mod:`repro.exec.engine` for the scheduling policy and
 
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exec.cells import (
-    SimCell, canonical_overrides, cell_key, derive_seed, run_cell,
-    sweep_cells,
+    SimCell, canonical_overrides, cell_key, cell_simulator, derive_seed,
+    run_cell, sweep_cells,
 )
 from repro.exec.engine import RetryPolicy, SweepExecutor, SweepStats
 from repro.exec.journal import (
@@ -26,6 +26,7 @@ __all__ = [
     "campaign_id",
     "canonical_overrides",
     "cell_key",
+    "cell_simulator",
     "decode_value",
     "derive_seed",
     "encode_value",

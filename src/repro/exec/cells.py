@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.config import GPUConfig
 from repro.sanitize.sanitizer import (sanitize_enabled_from_env,
                                       trace_out_from_env)
-from repro.sim.gpusim import run_simulation
+from repro.sim.gpusim import GPUSimulator
 from repro.sim.results import SimResult
 from repro.workloads import get_workload
 
@@ -114,8 +114,8 @@ def derive_seed(base: int, *parts: Any) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def run_cell(cell: SimCell) -> SimResult:
-    """Execute one cell (the executor's default worker function).
+def cell_simulator(cell: SimCell) -> GPUSimulator:
+    """Build, without running, the simulator of one cell.
 
     The sanitizer rides along via environment toggles (``RCC_SANITIZE`` /
     ``RCC_TRACE_OUT``) rather than cell fields: forked sweep workers
@@ -126,10 +126,15 @@ def run_cell(cell: SimCell) -> SimResult:
     wl = get_workload(cell.workload, intensity=cell.intensity,
                       seed=cell.seed)
     cfg = cell.effective_cfg()
-    return run_simulation(cfg, cell.protocol, wl.generate(cfg),
-                          cell.workload,
-                          sanitize=sanitize_enabled_from_env(),
-                          trace_out=trace_out_from_env())
+    return GPUSimulator(cfg, cell.protocol, wl.generate(cfg),
+                        cell.workload,
+                        sanitize=sanitize_enabled_from_env(),
+                        trace_out=trace_out_from_env())
+
+
+def run_cell(cell: SimCell) -> SimResult:
+    """Execute one cell (the executor's default worker function)."""
+    return cell_simulator(cell).run()
 
 
 def sweep_cells(cfg: GPUConfig, protocols: Iterable[str],

@@ -203,7 +203,13 @@ def explain(program: FuzzProgram, obs: Observation,
         dead.add(state)
         return None
 
-    return dfs(start[0], start[1], [])
+    try:
+        return dfs(start[0], start[1], [])
+    finally:
+        # ``dfs`` reaches itself through its closure; clearing the name
+        # breaks that cycle, so the closure and its ``dead`` memo are
+        # freed by reference counting as soon as the search returns.
+        del dfs
 
 
 def sc_explainable(program: FuzzProgram, obs: Observation,

@@ -115,6 +115,11 @@ class GPUCore:
     def attach_l1(self, l1) -> None:
         self.l1 = l1
 
+    def detach(self) -> None:
+        """Drop the completion hook given at construction (simulator
+        teardown; the L1 side is undone by ``L1.detach_core``)."""
+        self._on_all_done = None
+
     def start(self) -> None:
         if self.l1 is None:
             raise SimulationError(f"core {self.core_id} has no L1 attached")

@@ -87,6 +87,12 @@ class Crossbar:
         """Attach an endpoint id (e.g. ``("l2", 0)``) to its handler."""
         self._endpoints[endpoint] = deliver
 
+    def release(self) -> None:
+        """Inverse of every :meth:`register`: drop the endpoint handlers,
+        which are bound methods of the controllers that hold this
+        crossbar (simulator teardown)."""
+        self._endpoints.clear()
+
     @staticmethod
     def direction_of(src: Any) -> Direction:
         return Direction.CORE_TO_L2 if src[0] == "core" else Direction.L2_TO_CORE

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import GPUConfig
 from repro.core.lease_policy import available_lease_policies
-from repro.exec import SimCell, run_cell
+from repro.exec import SimCell, cell_simulator, run_cell
 
 BENCH_SCHEMA = 2
 
@@ -115,7 +115,8 @@ def calibrate(iters: int = 300_000, repeats: int = 3) -> float:
 
 def _measure(cell: SimCell) -> Tuple[Dict[str, Any], Any]:
     t0 = time.perf_counter()
-    result = run_cell(cell)
+    sim = cell_simulator(cell)
+    result = sim.run()
     wall = time.perf_counter() - t0
     fired = getattr(result, "events_fired", 0) or 0
     cycles = getattr(result, "cycles", 0) or 0
@@ -134,6 +135,10 @@ def _measure(cell: SimCell) -> Tuple[Dict[str, Any], Any]:
             "sc_stall_cycles": stall,
             "stall_cycles_per_op": round(stall / mem_ops, 3)
             if mem_ops else 0.0,
+            # Objects the end-of-run young-generation collect reclaimed:
+            # cyclic garbage the simulator's teardown failed to prevent.
+            # Nonzero fails ``--check`` (see :func:`teardown_failures`).
+            "young_gc_reclaimed": sim.young_gc_reclaimed,
         },
         result,
     )
@@ -349,6 +354,22 @@ def render_ablation(report: Dict[str, Any]) -> str:
                 f"{e['stall_cycles_per_op']:>9.3f} "
                 f"{e['events_per_s'] / 1e3:>8.1f}k")
     return "\n".join(lines)
+
+
+def teardown_failures(report: Dict[str, Any]) -> List[str]:
+    """Cells whose run left cyclic garbage for the end-of-run young
+    collect (DESIGN.md Appendix D, "Teardown"); empty = pass.
+
+    A finished simulator is freed by reference counting alone, so any
+    reclaimed object means some back-reference is no longer unwired, and
+    a per-run cost proportional to the garbage has come back."""
+    return [
+        f"{label}: the end-of-run young collect reclaimed "
+        f"{cell['young_gc_reclaimed']} objects; some wiring edge is not "
+        "undone at teardown"
+        for label, cell in report["cells"].items()
+        if cell.get("young_gc_reclaimed")
+    ]
 
 
 def compare_to_baseline(current: Dict[str, Any], baseline: Dict[str, Any],

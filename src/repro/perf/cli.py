@@ -19,7 +19,8 @@ import sys
 from typing import List, Optional
 
 from repro.perf.bench import (compare_to_baseline, render_ablation,
-                              run_bench, run_lease_ablation)
+                              run_bench, run_lease_ablation,
+                              teardown_failures)
 
 
 def _default_out() -> str:
@@ -69,7 +70,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="stored baseline report to compare against")
     parser.add_argument("--check", action="store_true",
                         help="exit nonzero if throughput regresses vs "
-                             "--baseline beyond --tolerance")
+                             "--baseline beyond --tolerance, or if any "
+                             "cell's run left cyclic garbage behind")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed normalized-throughput drop "
                              "(default 0.20)")
@@ -158,6 +160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         failures = compare_to_baseline(report, baseline,
                                        tolerance=args.tolerance)
+        failures += teardown_failures(report)
         if failures:
             print("perf regression check FAILED:", file=sys.stderr)
             for failure in failures:

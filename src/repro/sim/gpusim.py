@@ -24,7 +24,7 @@ from repro.common.addresses import AddressMap
 from repro.coherence.registry import build_protocol
 from repro.config import GPUConfig
 from repro.consistency.model import make_policy
-from repro.errors import ConfigError, DeadlockError
+from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.gpu.core import GPUCore
 from repro.gpu.trace import WarpTrace
 from repro.gpu.warp import reset_op_seq
@@ -87,6 +87,11 @@ class GPUSimulator:
             self.proto.l1s[i].attach_core(core)
             self.cores.append(core)
         self.result: Optional[SimResult] = None
+        self._ran = False
+        #: Objects the end-of-run young-generation collect reclaimed. Zero
+        #: when teardown left no cyclic garbage; the perf harness reports
+        #: it per cell and its ``--check`` fails on a nonzero count.
+        self.young_gc_reclaimed = 0
 
     @staticmethod
     def _extra_noc_latency(cfg: GPUConfig) -> int:
@@ -119,40 +124,60 @@ class GPUSimulator:
         return mem
 
     def run(self) -> SimResult:
-        for l1 in self.proto.l1s:
-            start = getattr(l1, "start", None)
-            if start is not None:
-                start()
-        for core in self.cores:
-            core.start()
+        """Run the simulation to completion and return its result.
+
+        The simulator is single-use: a second call raises
+        :class:`SimulationError`. Whether the run completes or raises, it
+        ends by unwiring the machine (see :meth:`_unwire`), so the finished
+        simulator holds no reference cycles and is freed by reference
+        counting alone; the result, the component stats and
+        :meth:`final_memory` stay readable.
+        """
+        if self._ran:
+            raise SimulationError(
+                f"GPUSimulator is single-use: {self.protocol_name}/"
+                f"{self.workload_name} has already run; build a new one")
+        self._ran = True
         # The event loop allocates heavily (records, messages, retry
-        # polls), and the cached retry polls form reference cycles
-        # (msg.meta -> poll -> msg) that keep the generational collector
-        # scanning a large, mostly-immortal heap mid-run. One run's garbage
-        # fits comfortably in memory, so pause collection for the loop and
-        # reclaim the cycles in one sweep afterwards. Purely a wall-clock
-        # optimization: allocation order, and hence simulation behavior,
-        # is unaffected.
+        # polls), none of it cyclic, so collection is paused for the loop:
+        # the collector would otherwise rescan the long-lived heap again
+        # and again mid-run. Meanwhile generation 0 holds exactly this
+        # run's allocations, and because teardown leaves no cycles behind,
+        # collecting that generation alone is enough afterwards; it costs
+        # time in proportion to the run, not to the heap. Purely a
+        # wall-clock optimization: allocation order, and hence simulation
+        # behavior, is unaffected.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
+            for l1 in self.proto.l1s:
+                start = getattr(l1, "start", None)
+                if start is not None:
+                    start()
+            for core in self.cores:
+                core.start()
             self.engine.run()
+            if self._cores_done != self.cfg.n_cores:
+                stuck = [c.core_id for c in self.cores if not c.finished]
+                detail = (f"cores {stuck} never finished "
+                          f"({self.protocol_name}/{self.workload_name})")
+                if self.sanitizer is not None:
+                    detail += "\n" + self.sanitizer.diagnostics()
+                raise DeadlockError(self.engine.now, detail)
+            self.result = self._collect_result()
         finally:
+            self._unwire()
             if gc_was_enabled:
                 gc.enable()
-                gc.collect()
-        if self._cores_done != self.cfg.n_cores:
-            stuck = [c.core_id for c in self.cores if not c.finished]
-            detail = (f"cores {stuck} never finished "
-                      f"({self.protocol_name}/{self.workload_name})")
-            if self.sanitizer is not None:
-                detail += "\n" + self.sanitizer.diagnostics()
-            raise DeadlockError(self.engine.now, detail)
+                self.young_gc_reclaimed = gc.collect(0)
+        return self.result
+
+    def _collect_result(self) -> SimResult:
         cycles = max(c.stats.done_cycle or 0 for c in self.cores)
         op_logs = ([rec for c in self.cores for rec in c.op_log]
                    if self.record_ops else [])
-        self.result = SimResult(
+        return SimResult(
             protocol=self.protocol_name,
             workload=self.workload_name,
             cycles=cycles,
@@ -168,7 +193,23 @@ class GPUSimulator:
             final_memory=self.final_memory(),
             events_fired=self.engine.events_fired,
         )
-        return self.result
+
+    def _unwire(self) -> None:
+        """Undo every back-reference the build made, each at its wiring
+        site, and drop the engine's queued and pooled events.
+
+        What stays is a tree: the simulator owns its components, and no
+        component points back at the simulator, at a peer, or at the
+        engine's queue (DESIGN.md Appendix D, "Teardown")."""
+        for l1 in self.proto.l1s:
+            l1.detach_core()
+        for core in self.cores:
+            core.detach()
+        self.noc.release()
+        if self.proto.rollover is not None:
+            self.proto.rollover.unwire()
+        self.engine.diagnostics = None
+        self.engine.release()
 
 
 def run_simulation(cfg: GPUConfig, protocol: str,

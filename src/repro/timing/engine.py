@@ -645,6 +645,24 @@ class Engine:
             invariant="engine.retry.epoch_skip", event=f"{poll!r} @{cyc}",
             detail=detail, citation="DESIGN.md Appendix D, Retry batches")
 
+    def release(self) -> None:
+        """Drop every queued entry and pooled event, leaving an empty
+        engine (simulator teardown).
+
+        Queued callbacks and retry polls close over the components that
+        hold this engine, and handle events point back at it, so a queue
+        left behind by a finished or failed run would tie the whole
+        machine into reference cycles."""
+        for bucket in self._ring:
+            if bucket:
+                del bucket[:]
+        del self._ring_cycles[:]
+        del self._far[:]
+        del self._pool[:]
+        self._cur = None
+        self._cur_idx = 0
+        self._live = 0
+
     def peek(self) -> Optional[int]:
         """Cycle of the next live event, or None if the queue is empty."""
         if self._live == 0:

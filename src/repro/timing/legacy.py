@@ -110,11 +110,13 @@ class LegacyEngine:
         No batches and no epoch skip: every poll runs its predicate, and a
         still-blocked poll (non-None result) schedules its next poll
         ``RETRY_DELAY`` cycles later. This is the oracle the batched
-        retries are checked against.
+        retries are checked against. Each re-arm wraps the poll afresh
+        rather than rescheduling the same closure, which would have to
+        refer to itself (a reference cycle per retried request).
         """
         def fire() -> None:
             if poll() is not None:
-                self.schedule(self.now + RETRY_DELAY, fire)
+                self.schedule_retry(self.now + RETRY_DELAY, poll)
 
         self.schedule(cycle, fire)
 
@@ -153,6 +155,11 @@ class LegacyEngine:
                 return
             if not self.step():
                 return
+
+    def release(self) -> None:
+        """Drop every queued event (simulator teardown; see
+        :meth:`repro.timing.engine.Engine.release`)."""
+        del self._heap[:]
 
     def peek(self) -> Optional[int]:
         """Cycle of the next live event, or None if the queue is empty."""

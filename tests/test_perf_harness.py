@@ -86,6 +86,28 @@ def test_cli_check_missing_baseline_errors(tmp_path):
                       "--check"]) == 2
 
 
+def test_report_records_an_empty_young_collect(quick_report):
+    for label, cell in quick_report["cells"].items():
+        assert cell["young_gc_reclaimed"] == 0, label
+    assert bench.teardown_failures(quick_report) == []
+
+
+def test_check_fails_on_cyclic_garbage(quick_report, tmp_path, monkeypatch,
+                                       capsys):
+    leaky = json.loads(json.dumps(quick_report))
+    label = next(iter(leaky["cells"]))
+    leaky["cells"][label]["young_gc_reclaimed"] = 5
+    failures = bench.teardown_failures(leaky)
+    assert len(failures) == 1 and label in failures[0]
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(quick_report))
+    monkeypatch.setattr("repro.perf.cli.run_bench", lambda **kw: leaky)
+    assert perf_main(["--quick", "--out", str(tmp_path / "b.json"),
+                      "--baseline", str(baseline), "--check",
+                      "--tolerance", "0.90"]) == 1
+    assert "reclaimed 5 objects" in capsys.readouterr().err
+
+
 def test_events_fired_in_result_payload():
     cell = bench.quick_cells()[0]
     result = bench._measure(cell)[1]
