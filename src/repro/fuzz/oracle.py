@@ -15,13 +15,31 @@ Values are *normalized*: a store is identified by ``(core, warp,
 prog_index)`` and the initial value by :data:`INIT`, so observations from
 different protocols (whose raw data tokens differ) are comparable.
 
-The search is a memoized DFS over interleaving states ``(per-warp pcs,
-per-slot last writer)``. Load observations prune aggressively — a load can
-only be scheduled when memory holds exactly the value it returned — so
-correct observations are explained almost immediately; proving a violation
-exhausts the (small) reachable state space. A state budget bounds
-pathological cases: exceeding it raises :class:`OracleExhausted` rather
-than mislabeling the run.
+The search is a memoized depth-first search over interleaving states
+``(per-warp pcs, per-slot last writer)``, run on an explicit stack so
+that long programs cannot overflow Python's. It is reduced by two rules.
+Both rest on one fact: every store identity is written at most once, and
+:data:`INIT` never returns to a slot once the slot is overwritten. So a
+value that has left its slot is gone for good.
+
+1. **Forced loads.** If a warp's next op is a load whose slot holds the
+   expected value right now, the load is taken without branching. In any
+   successful completion the load reads that same value later, so no
+   store to the slot runs before it (the value could not come back), and
+   the load commutes to the front.
+2. **Dead reads.** If a warp's next load or atomic expects a value that
+   can never appear in its slot again, the state is dead: the value is
+   :data:`INIT` and the slot was overwritten, or its writer already ran
+   and the slot no longer holds it, or no store writes it (such as
+   :data:`UNKNOWN`), or it belongs to a store to another slot or to a
+   later op of the same warp.
+   The last three hold in every state, so such an observation is refused
+   before the search starts.
+
+Branching is then only over stores and enabled atomics. A state budget
+bounds pathological cases: exceeding it raises :class:`OracleExhausted`
+rather than mislabeling the run. The witness returned is one valid
+interleaving, not necessarily the one the execution took.
 """
 
 from __future__ import annotations
@@ -144,7 +162,9 @@ def explain(program: FuzzProgram, obs: Observation,
 
     Returns the interleaving as a list of ``(warp key, op)`` steps, or
     ``None`` if the observation is not sequentially consistent. Raises
-    :class:`OracleExhausted` past ``max_states`` explored states.
+    :class:`OracleExhausted` past ``max_states`` explored states; a
+    state counts once its forced loads are taken, so the loads
+    themselves cost nothing.
     """
     sem = _semantic_ops(program)
     keys = sorted(sem)
@@ -159,57 +179,97 @@ def explain(program: FuzzProgram, obs: Observation,
         if len(expected[i]) != want:
             return None
 
-    n_slots = program.n_addrs
-    goal = tuple(obs.final_of(s) for s in range(n_slots))
-    init_mem = tuple([INIT] * n_slots)
-    start = (tuple([0] * len(keys)), init_mem)
+    # Where each store identity sits: (warp index, op index, slot).
+    writer = {op.ident: (i, pc, op.slot)
+              for i, seq in enumerate(ops) for pc, op in enumerate(seq)
+              if op.kind is not MemOpKind.LOAD}
+    # Per op: (is load, slot, expected value, source, op). ``source`` is
+    # the (warp index, op index) of the expected value's writer, or None
+    # for INIT; stores expect None. A read whose value no store to its
+    # slot writes, or whose writer its own warp has not reached yet, is
+    # dead in every state (rule 2), so the observation is refused here.
+    table = []
+    for i, seq in enumerate(ops):
+        row = []
+        for pc, op in enumerate(seq):
+            want = source = None
+            if op.read_cursor >= 0:
+                want = expected[i][op.read_cursor]
+                if want != INIT:
+                    w = writer.get(want)
+                    if (w is None or w[2] != op.slot
+                            or (w[0] == i and w[1] >= pc)):
+                        return None
+                    source = w[:2]
+            row.append((op.kind is MemOpKind.LOAD, op.slot, want, source,
+                        op))
+        table.append(row)
+
+    n_warps = len(keys)
+    lens = [len(seq) for seq in ops]
+    done = tuple(lens)
+    goal = tuple(obs.final_of(s) for s in range(program.n_addrs))
+    pcs = tuple([0] * n_warps)
+    mem = tuple([INIT] * program.n_addrs)
+    path: List[Tuple[WarpKey, _SemOp]] = []
     dead: set = set()
     visited = 0
-
-    def dfs(pcs: Tuple[int, ...], mem: Tuple[Any, ...],
-            path: List[Tuple[WarpKey, _SemOp]]
-            ) -> Optional[List[Tuple[WarpKey, _SemOp]]]:
-        nonlocal visited
-        if all(pc >= len(ops[i]) for i, pc in enumerate(pcs)):
-            return list(path) if mem == goal else None
+    # DFS frames: (state, iterator over its moves, path length there).
+    stack: List[Tuple[Any, Any, int]] = []
+    while True:
+        # Enter (pcs, mem): take every forced load (rule 1), then judge
+        # the state.
+        forced = list(pcs)
+        for i in range(n_warps):
+            pc, row = forced[i], table[i]
+            while pc < lens[i]:
+                is_load, slot, want, _, op = row[pc]
+                if not is_load or mem[slot] != want:
+                    break
+                path.append((keys[i], op))
+                pc += 1
+            forced[i] = pc
+        pcs = tuple(forced)
         state = (pcs, mem)
-        if state in dead:
+        if pcs == done:
+            if mem == goal:
+                return path
+        elif state not in dead:
+            visited += 1
+            if visited > max_states:
+                raise OracleExhausted(
+                    f"oracle exceeded {max_states} states on {program.name}")
+            moves = []
+            for i in range(n_warps):
+                pc = pcs[i]
+                if pc == lens[i]:
+                    continue
+                is_load, slot, want, source, op = table[i][pc]
+                if want is not None and mem[slot] != want:
+                    if source is None or pcs[source[0]] > source[1]:
+                        # The value this read needs is gone for good
+                        # (rule 2).
+                        dead.add(state)
+                        break
+                    continue  # a load still waiting for its store
+                if not is_load:
+                    moves.append((i, op))
+            else:
+                stack.append((state, iter(moves), len(path)))
+        # Take the next untried move, backtracking out of spent frames.
+        while stack:
+            (pcs, mem), moves, depth = stack[-1]
+            del path[depth:]
+            move = next(moves, None)
+            if move is not None:
+                i, op = move
+                path.append((keys[i], op))
+                pcs = pcs[:i] + (pcs[i] + 1,) + pcs[i + 1:]
+                mem = mem[:op.slot] + (op.ident,) + mem[op.slot + 1:]
+                break
+            dead.add(stack.pop()[0])
+        else:
             return None
-        visited += 1
-        if visited > max_states:
-            raise OracleExhausted(
-                f"oracle exceeded {max_states} states on {program.name}")
-        for i in range(len(keys)):
-            pc = pcs[i]
-            if pc >= len(ops[i]):
-                continue
-            op = ops[i][pc]
-            if op.kind is MemOpKind.LOAD:
-                if mem[op.slot] != expected[i][op.read_cursor]:
-                    continue
-                new_mem = mem
-            elif op.kind is MemOpKind.STORE:
-                new_mem = mem[:op.slot] + (op.ident,) + mem[op.slot + 1:]
-            else:  # ATOMIC: read half must match, then write
-                if mem[op.slot] != expected[i][op.read_cursor]:
-                    continue
-                new_mem = mem[:op.slot] + (op.ident,) + mem[op.slot + 1:]
-            new_pcs = pcs[:i] + (pc + 1,) + pcs[i + 1:]
-            path.append((keys[i], op))
-            found = dfs(new_pcs, new_mem, path)
-            if found is not None:
-                return found
-            path.pop()
-        dead.add(state)
-        return None
-
-    try:
-        return dfs(start[0], start[1], [])
-    finally:
-        # ``dfs`` reaches itself through its closure; clearing the name
-        # breaks that cycle, so the closure and its ``dead`` memo are
-        # freed by reference counting as soon as the search returns.
-        del dfs
 
 
 def sc_explainable(program: FuzzProgram, obs: Observation,
