@@ -7,18 +7,25 @@ cycle count; BARRIER ops synchronize all warps within one core (a workgroup
 in our model maps to one SM); FENCE ops order memory under weak consistency
 (under SC they are no-ops in hardware, exactly as the paper treats them, but
 are kept in traces).
+
+Trace ops are shared immutable values. A workload holds hundreds of
+thousands of ops but only a few thousand distinct ones, so the factories
+below hand out one interned instance per distinct op, and a trace is a
+list of references to them. Never mutate an op and never key anything on
+its identity: equal ops built anywhere may or may not be the same object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Iterable, List, Optional, Set
 
 from repro.common.types import MemOpKind
 from repro.errors import TraceError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceOp:
     """One trace instruction.
 
@@ -40,28 +47,51 @@ class TraceOp:
             raise TraceError(f"negative address {self.addr}")
 
 
+#: Distinct ops each factory keeps interned. The caches evict the least
+#: recently used op past this bound, so a long campaign over ever-new
+#: addresses stays bounded; the largest generated workload, kmn or ndl on
+#: the Table III machine, touches 16,384 distinct load addresses.
+INTERN_LIMIT = 1 << 14
+
+
+def _interned(kind: MemOpKind, *fields):
+    """A bounded cache of shared ``kind`` ops keyed by the op's one
+    variable field (the next positional field after ``fields``). An op is
+    validated when it is first built; an invalid one raises
+    :class:`TraceError` and is never cached."""
+    return lru_cache(maxsize=INTERN_LIMIT)(partial(TraceOp, kind, *fields))
+
+
+_load = _interned(MemOpKind.LOAD)
+_store = _interned(MemOpKind.STORE)
+_atomic = _interned(MemOpKind.ATOMIC)
+_compute = _interned(MemOpKind.COMPUTE, None)
+_barrier = _interned(MemOpKind.BARRIER, None, 0)
+_FENCE = TraceOp(MemOpKind.FENCE)
+
+
 def load_op(addr: int) -> TraceOp:
-    return TraceOp(MemOpKind.LOAD, addr=addr)
+    return _load(addr)
 
 
 def store_op(addr: int) -> TraceOp:
-    return TraceOp(MemOpKind.STORE, addr=addr)
+    return _store(addr)
 
 
 def atomic_op(addr: int) -> TraceOp:
-    return TraceOp(MemOpKind.ATOMIC, addr=addr)
+    return _atomic(addr)
 
 
 def compute_op(cycles: int) -> TraceOp:
-    return TraceOp(MemOpKind.COMPUTE, cycles=cycles)
+    return _compute(cycles)
 
 
 def fence_op() -> TraceOp:
-    return TraceOp(MemOpKind.FENCE)
+    return _FENCE
 
 
 def barrier_op(barrier_id: int = 0) -> TraceOp:
-    return TraceOp(MemOpKind.BARRIER, barrier_id=barrier_id)
+    return _barrier(barrier_id)
 
 
 @dataclass

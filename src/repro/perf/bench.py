@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.config import GPUConfig
 from repro.core.lease_policy import available_lease_policies
 from repro.exec import SimCell, cell_simulator, run_cell
+from repro.sim.gpusim import GPUSimulator
 
 BENCH_SCHEMA = 2
 
@@ -113,11 +114,21 @@ def calibrate(iters: int = 300_000, repeats: int = 3) -> float:
     return iters / best
 
 
+def trace_op_counts(sim: GPUSimulator) -> Tuple[int, int]:
+    """Trace ops the simulator's warps hold, and how many distinct op
+    objects (by identity) they are: interning shares one object per
+    distinct op, so the second count is far below the first."""
+    ops = [op for core in sim.cores for warp in core.warps
+           for op in warp.ops]
+    return len(ops), len({id(op) for op in ops})
+
+
 def _measure(cell: SimCell) -> Tuple[Dict[str, Any], Any]:
     t0 = time.perf_counter()
     sim = cell_simulator(cell)
     result = sim.run()
     wall = time.perf_counter() - t0
+    trace_ops, trace_op_objects = trace_op_counts(sim)
     fired = getattr(result, "events_fired", 0) or 0
     cycles = getattr(result, "cycles", 0) or 0
     mem_ops = getattr(result, "mem_ops", 0) or 0
@@ -139,6 +150,10 @@ def _measure(cell: SimCell) -> Tuple[Dict[str, Any], Any]:
             # cyclic garbage the simulator's teardown failed to prevent.
             # Nonzero fails ``--check`` (see :func:`teardown_failures`).
             "young_gc_reclaimed": sim.young_gc_reclaimed,
+            # Report-only and host-independent: trace ops the warps ran
+            # and the distinct op objects behind them (DESIGN.md §5).
+            "trace_ops": trace_ops,
+            "trace_op_objects": trace_op_objects,
         },
         result,
     )

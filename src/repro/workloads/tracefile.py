@@ -14,7 +14,9 @@ result. Format, one op per line, with per-warp headers:
     F                   fence
     B <barrier-id>      barrier
 
-Blank lines and ``#`` comments are ignored.
+Blank lines and ``#`` comments are ignored. Core and warp ids are
+non-negative, and the dense (core, warp) grid they span holds at most
+:data:`MAX_GRID_WARPS` warps.
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ from repro.gpu.trace import (
 )
 
 MAGIC = "# repro-trace v1"
+
+#: Bound on the dense grid a file may span, (max core + 1) x (max warp +
+#: 1) warps: far above any configured machine (the Table III GPU has 768),
+#: and small enough that a stray huge id fails at once instead of filling
+#: memory with empty warps.
+MAX_GRID_WARPS = 1 << 16
 
 _KIND_CODE = {
     MemOpKind.LOAD: "L",
@@ -69,6 +77,8 @@ def _decode_op(line: str, lineno: int) -> TraceOp:
             return barrier_op(int(parts[1]))
     except (IndexError, ValueError) as exc:
         raise TraceError(f"line {lineno}: malformed op {line!r}") from exc
+    except TraceError as exc:
+        raise TraceError(f"line {lineno}: {exc}") from exc
     raise TraceError(f"line {lineno}: unknown op code {code!r}")
 
 
@@ -93,6 +103,7 @@ def load_traces(f: Union[str, TextIO]) -> List[List[WarpTrace]]:
         with open(f) as fh:
             return load_traces(fh)
     grid = {}
+    n_cores = n_warps = 0
     current: WarpTrace = None
     for lineno, raw in enumerate(f, start=1):
         line = raw.strip()
@@ -105,6 +116,13 @@ def load_traces(f: Union[str, TextIO]) -> List[List[WarpTrace]]:
             except (IndexError, ValueError) as exc:
                 raise TraceError(f"line {lineno}: bad header {line!r}") \
                     from exc
+            if core < 0 or warp < 0:
+                raise TraceError(f"line {lineno}: negative id in {line!r}")
+            n_cores, n_warps = max(n_cores, core + 1), max(n_warps, warp + 1)
+            if n_cores * n_warps > MAX_GRID_WARPS:
+                raise TraceError(
+                    f"line {lineno}: {line!r} spans a {n_cores} x {n_warps} "
+                    f"warp grid, more than {MAX_GRID_WARPS} warps")
             if (core, warp) in grid:
                 raise TraceError(f"line {lineno}: duplicate warp "
                                  f"({core},{warp})")
@@ -116,8 +134,6 @@ def load_traces(f: Union[str, TextIO]) -> List[List[WarpTrace]]:
         current.append(_decode_op(line, lineno))
     if not grid:
         raise TraceError("empty trace file")
-    n_cores = max(c for c, _ in grid) + 1
-    n_warps = max(w for _, w in grid) + 1
     out: List[List[WarpTrace]] = []
     for c in range(n_cores):
         row = []

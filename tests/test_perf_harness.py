@@ -6,6 +6,7 @@ import pytest
 
 from repro.perf import bench
 from repro.perf.cli import main as perf_main
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,20 @@ def test_check_fails_on_cyclic_garbage(quick_report, tmp_path, monkeypatch,
                       "--baseline", str(baseline), "--check",
                       "--tolerance", "0.90"]) == 1
     assert "reclaimed 5 objects" in capsys.readouterr().err
+
+
+def test_report_counts_trace_ops_and_shared_objects(quick_report):
+    """``trace_ops`` / ``trace_op_objects`` are host-independent: the ops
+    a cell's warps ran and the distinct op objects behind them, which
+    interning makes one per distinct op value."""
+    for cell in bench.quick_cells():
+        entry = quick_report["cells"][cell.label]
+        grid = get_workload(cell.workload, intensity=cell.intensity,
+                            seed=cell.seed).generate(cell.effective_cfg())
+        ops = [op for row in grid for t in row for op in t.ops]
+        assert entry["trace_ops"] == len(ops) > 0, cell.label
+        assert entry["trace_op_objects"] == len(set(ops)), cell.label
+        assert entry["trace_op_objects"] < entry["trace_ops"], cell.label
 
 
 def test_events_fired_in_result_payload():

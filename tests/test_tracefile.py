@@ -1,6 +1,7 @@
 """Tests for trace file save/load round-trips."""
 
 import io
+import time
 
 import pytest
 
@@ -12,7 +13,9 @@ from repro.gpu.trace import (
 )
 from repro.sim.gpusim import run_simulation
 from repro.workloads import get_workload
-from repro.workloads.tracefile import load_traces, save_traces
+from repro.workloads.tracefile import (
+    MAX_GRID_WARPS, load_traces, save_traces,
+)
 
 
 def sample_traces():
@@ -74,6 +77,12 @@ def test_malformed_op_rejected():
         load_traces(io.StringIO("@ 0 0\nX 99\n"))
 
 
+@pytest.mark.parametrize("op", ["L -80", "C 0"])
+def test_invalid_op_error_names_its_line(op):
+    with pytest.raises(TraceError, match="line 3: "):
+        load_traces(io.StringIO(f"@ 0 0\nL 80\n{op}\n"))
+
+
 def test_op_before_header_rejected():
     with pytest.raises(TraceError):
         load_traces(io.StringIO("L 100\n"))
@@ -95,3 +104,33 @@ def test_missing_warps_filled_empty():
     assert len(loaded[0]) == 2
     assert loaded[0][0].ops == []
     assert len(loaded[1][1].ops) == 1
+
+
+@pytest.mark.parametrize("text, lineno", [
+    # A negative warp before a real one used to vanish silently, leaving
+    # one warp that held only the store.
+    ("# repro-trace v1\n@ -1 0\nL 80\n@ 0 0\nS 100\n", 2),
+    # ... and a lone negative warp id loaded as [[]].
+    ("@ 0 -3\nL 80\n", 1),
+])
+def test_negative_ids_rejected(text, lineno):
+    with pytest.raises(TraceError, match=f"line {lineno}: negative id"):
+        load_traces(io.StringIO(text))
+
+
+def test_huge_ids_rejected_at_once():
+    # A 2001 x 3001 grid used to be built eagerly (8.5 s, 6M empty warps).
+    t0 = time.perf_counter()
+    with pytest.raises(TraceError, match="line 1: .*more than"):
+        load_traces(io.StringIO("@ 2000 3000\nL 80\n"))
+    with pytest.raises(TraceError, match="line 3: "):
+        load_traces(io.StringIO(f"@ 0 0\nL 80\n@ 0 {10 ** 30}\n"))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_grid_bound_is_inclusive():
+    side = int(MAX_GRID_WARPS ** 0.5)
+    loaded = load_traces(io.StringIO(f"@ {side - 1} {side - 1}\nL 80\n"))
+    assert len(loaded) * len(loaded[0]) == side * side <= MAX_GRID_WARPS
+    with pytest.raises(TraceError):
+        load_traces(io.StringIO(f"@ {side - 1} {side}\nL 80\n"))
