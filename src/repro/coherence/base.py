@@ -162,7 +162,7 @@ class L1ControllerBase:
             self.core.mem_op_done(record, warp)
         else:
             engine = self.engine
-            engine.schedule_call(
+            engine.schedule(
                 engine.now + delay,
                 lambda: self.core.mem_op_done(record, warp))
 
@@ -236,8 +236,8 @@ class L2ControllerBase:
         if delay <= 0:
             self.noc.send(msg)
         else:
-            self.engine.schedule_call(self.engine.now + delay,
-                                      lambda: self.noc.send(msg))
+            self.engine.schedule(self.engine.now + delay,
+                                 lambda: self.noc.send(msg))
         return msg
 
     def read_backing(self, addr: int) -> Any:

@@ -376,7 +376,7 @@ class TCL2Controller(L2ControllerBase):
                 if self.sanitizer is not None:
                     self._emit(EV.L2_WRITE_BUFFER, block, ack_at=ack_at,
                                exp=line.exp, now=now, atomic=atomic)
-                self.engine.schedule_call(
+                self.engine.schedule(
                     ack_at, lambda: self._apply_strong(msg, block, atomic,
                                                        ack_at))
                 return
@@ -567,8 +567,8 @@ class TCL2Controller(L2ControllerBase):
             # Park the live lease so a later write still waits it out.
             exp = line.exp
             self.parked[line.addr] = max(self.parked.get(line.addr, 0), exp)
-            self.engine.schedule_call(post_lease(exp),
-                                      lambda: self._unpark(line.addr, exp))
+            self.engine.schedule(post_lease(exp),
+                                 lambda: self._unpark(line.addr, exp))
         if line.dirty:
             self.writeback_to_dram(line.addr, line.value)
 

@@ -361,8 +361,8 @@ class RCCL2Controller(L2ControllerBase):
     def _on_dram_data(self, block: int) -> None:
         if self.frozen:
             # Rollover in progress: complete the fill afterwards.
-            self.engine.schedule_call(self.engine.now + RETRY_DELAY,
-                                      lambda: self._on_dram_data(block))
+            self.engine.schedule(self.engine.now + RETRY_DELAY,
+                                 lambda: self._on_dram_data(block))
             return
         line = self.cache._map.get(block)
         entry = self.mshr.get(block)

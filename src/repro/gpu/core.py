@@ -133,16 +133,15 @@ class GPUCore:
     # Tick / issue stage
     # ------------------------------------------------------------------
     def _schedule_tick(self, cycle: int) -> None:
-        # schedule_call registers the tick in the engine's cycle bucket —
-        # the shared per-cycle dispatch list for every core active in that
-        # cycle. Each core's registration keeps its own (cycle, seq) slot,
-        # so the firing order is identical to the historical one-event-per-
-        # core schedule() (see DESIGN.md Appendix D for why a merged
-        # single-callback dispatcher would NOT be: completions scheduled
-        # between two cores' registrations must fire between their ticks).
+        # The tick goes into the engine's cycle bucket — the shared
+        # per-cycle dispatch list for every core active in that cycle.
+        # Each core's registration keeps its own (cycle, seq) slot (see
+        # DESIGN.md Appendix D for why a merged single-callback dispatcher
+        # would NOT be equivalent: completions scheduled between two
+        # cores' registrations must fire between their ticks).
         if not self._tick_scheduled and not self._finished:
             self._tick_scheduled = True
-            self.engine.schedule_call(cycle, self._tick)
+            self.engine.schedule(cycle, self._tick)
 
     def wake(self) -> None:
         """Called by memory responses / compute completions / timers."""
@@ -175,7 +174,7 @@ class GPUCore:
         wo_max = self._wo_max
         stats = self.stats
         busy = self._busy
-        schedule_call = self.engine.schedule_call
+        schedule = self.engine.schedule
         compute_kind = MemOpKind.COMPUTE
         barrier_kind = MemOpKind.BARRIER
         fence_kind = MemOpKind.FENCE
@@ -206,7 +205,7 @@ class GPUCore:
                 until = now + op.cycles
                 busy[j] = until
                 stats.issued_instructions += 1
-                schedule_call(until, self.wake)
+                schedule(until, self.wake)
                 if warp.pc >= warp.n_ops:
                     busy[j] = _NEVER
                 issued = True
@@ -299,7 +298,7 @@ class GPUCore:
         if block_until > now:
             # Protocol-imposed visibility wait (TC-weak's GWCT).
             self._busy[warp.idx] = block_until
-            self.engine.schedule_call(block_until, self.wake)
+            self.engine.schedule(block_until, self.wake)
             return "blocked"
         if not can_issue:
             return "ready"
@@ -382,7 +381,7 @@ class GPUCore:
         # wake(), inlined (hot: one call per completed memory op).
         if not self._tick_scheduled and not self._finished:
             self._tick_scheduled = True
-            self.engine.schedule_call(now, self._tick)
+            self.engine.schedule(now, self._tick)
 
     # ------------------------------------------------------------------
     # Barrier unit (workgroup == core in this model)

@@ -191,15 +191,8 @@ def profile_cell(cell: SimCell, top_n: int = 15) -> List[Dict[str, Any]]:
 
 
 def run_bench(quick: bool = False,
-              compare_legacy: bool = False,
               profile_top: int = 0) -> Dict[str, Any]:
     """Run the benchmark suite; returns the report dict.
-
-    With ``compare_legacy``, every cell is re-run on the pre-optimization
-    heap engine (``RCC_LEGACY_ENGINE=1``) and the report gains a
-    ``legacy`` block per cell plus the end-to-end speedup ratio. The two
-    runs must produce identical result payloads — the engines share one
-    determinism contract — and a mismatch raises immediately.
 
     With ``profile_top`` > 0, every cell is re-run under cProfile after
     its timing run and the report gains a per-cell ``profile`` block with
@@ -217,26 +210,12 @@ def run_bench(quick: bool = False,
     }
     total_wall = 0.0
     total_events = 0
-    legacy_wall = 0.0
     for cell in cells:
-        entry, result = _measure(cell)
+        entry, _ = _measure(cell)
         entry["events_per_s_normalized"] = round(
             entry["events_per_s"] / calibration, 6)
         if profile_top > 0:
             entry["profile"] = profile_cell(cell, top_n=profile_top)
-        if compare_legacy:
-            os.environ["RCC_LEGACY_ENGINE"] = "1"
-            try:
-                legacy_entry, legacy_result = _measure(cell)
-            finally:
-                del os.environ["RCC_LEGACY_ENGINE"]
-            if legacy_result.to_payload() != result.to_payload():
-                raise AssertionError(
-                    f"legacy/fast engine payload mismatch on {cell.label}")
-            entry["legacy"] = legacy_entry
-            entry["speedup_vs_legacy"] = round(
-                legacy_entry["wall_s"] / entry["wall_s"], 3)
-            legacy_wall += legacy_entry["wall_s"]
         report["cells"][cell.label] = entry
         total_wall += entry["wall_s"]
         total_events += entry["events"]
@@ -246,10 +225,6 @@ def run_bench(quick: bool = False,
         "events_per_s": round(total_events / total_wall, 1)
         if total_wall > 0 else 0.0,
     }
-    if compare_legacy and total_wall > 0:
-        report["totals"]["legacy_wall_s"] = round(legacy_wall, 6)
-        report["totals"]["speedup_vs_legacy"] = round(
-            legacy_wall / total_wall, 3)
     return report
 
 

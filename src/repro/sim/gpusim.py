@@ -32,7 +32,7 @@ from repro.mem.dram import DRAMPartition
 from repro.noc.crossbar import Crossbar
 from repro.sanitize.sanitizer import Sanitizer
 from repro.sim.results import SimResult
-from repro.timing import make_engine
+from repro.timing.engine import Engine
 
 
 class GPUSimulator:
@@ -48,13 +48,18 @@ class GPUSimulator:
         if len(traces) != cfg.n_cores:
             raise ConfigError(
                 f"need traces for {cfg.n_cores} cores, got {len(traces)}")
+        for core_id, warps in enumerate(traces):
+            if len(warps) > cfg.warps_per_core:
+                raise ConfigError(
+                    f"core {core_id} has traces for {len(warps)} warps, "
+                    f"more than warps_per_core={cfg.warps_per_core}")
         self.cfg = cfg
         self.protocol_name = protocol
         self.workload_name = workload_name
         self.record_ops = record_ops
 
         reset_op_seq()
-        self.engine = make_engine(max_cycles=cfg.max_cycles)
+        self.engine = Engine(max_cycles=cfg.max_cycles)
         self.amap = AddressMap(cfg.l1.block_bytes, cfg.l2_banks)
         self.noc = Crossbar(
             self.engine, cfg.noc, block_bytes=cfg.l1.block_bytes,
@@ -196,7 +201,7 @@ class GPUSimulator:
 
     def _unwire(self) -> None:
         """Undo every back-reference the build made, each at its wiring
-        site, and drop the engine's queued and pooled events.
+        site, and drop the engine's queued events.
 
         What stays is a tree: the simulator owns its components, and no
         component points back at the simulator, at a peer, or at the

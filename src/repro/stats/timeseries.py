@@ -31,13 +31,13 @@ class TimeSeries:
     def start(self) -> None:
         if not self._started:
             self._started = True
-            self.engine.schedule_in(self.period, self._tick)
+            self.engine.schedule(self.engine.now + self.period, self._tick)
 
     def _tick(self) -> None:
         if not self.active():
             return  # stop sampling; lets the event queue drain
         self.samples.append((self.engine.now, float(self.probe())))
-        self.engine.schedule_in(self.period, self._tick)
+        self.engine.schedule(self.engine.now + self.period, self._tick)
 
     # ------------------------------------------------------------------
     def values(self) -> List[float]:

@@ -6,7 +6,9 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.gpu.trace import WarpTrace
+from repro.sim import gpusim
 from repro.sim.gpusim import run_simulation
+from repro.timing import Engine, LegacyEngine
 
 #: All protocols, and the subsets most tests sweep.
 ALL_PROTOCOLS = ["MESI", "TCS", "TCW", "RCC", "RCC-WO", "SC-IDEAL"]
@@ -44,3 +46,9 @@ def run_program(cfg: GPUConfig, protocol: str, programs, **kw):
     """Run a {(core, warp): [ops]} program and return the SimResult."""
     return run_simulation(cfg, protocol, program_traces(cfg, programs),
                           workload_name="test", **kw)
+
+
+def use_engine(monkeypatch, legacy: bool) -> None:
+    """Make every simulator built in this process run on the reference
+    :class:`LegacyEngine` (``legacy``) or on the fast :class:`Engine`."""
+    monkeypatch.setattr(gpusim, "Engine", LegacyEngine if legacy else Engine)

@@ -4,6 +4,8 @@ malformed integers, and a result-cache key the environment cannot reach."""
 from __future__ import annotations
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,6 @@ from repro.errors import ConfigError
 from repro.exec import ResultCache, RetryPolicy, SimCell, SweepExecutor
 from repro.exec.cells import cell_key
 from repro.sanitize.sanitizer import sanitize_enabled_from_env
-from repro.timing import Engine, LegacyEngine, make_engine
 
 OFF = ["0", "off", "no", "", "OFF", " No ", "false"]
 ON = ["1", "true", "yes", "on", "TRUE", " On "]
@@ -31,14 +32,6 @@ def test_flag_on_values(value):
 
 def test_flag_unset_is_off():
     assert env_flag("RCC_X", {}) is False
-
-
-@pytest.mark.parametrize("value,legacy", [("0", False), ("off", False),
-                                          ("", False), ("1", True),
-                                          ("yes", True)])
-def test_legacy_engine_toggle(monkeypatch, value, legacy):
-    monkeypatch.setenv("RCC_LEGACY_ENGINE", value)
-    assert isinstance(make_engine(), LegacyEngine if legacy else Engine)
 
 
 @pytest.mark.parametrize("value,serial", [("0", False), ("no", False),
@@ -102,3 +95,24 @@ def test_cell_key_does_not_read_the_environment(monkeypatch):
     before = cell_key(cell)
     monkeypatch.setattr(os, "environ", _Tripwire())
     assert cell_key(cell) == before
+
+
+_REPO = Path(__file__).resolve().parent.parent
+_TOGGLE = re.compile(r"RCC_[A-Z_]+")
+
+
+def _readme_toggles():
+    """The variables in README's "Environment toggles" table."""
+    text = (_REPO / "README.md").read_text()
+    section = text.split("### Environment toggles", 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"^\| `(RCC_[A-Z_]+)` \|", section, re.M))
+
+
+def test_readme_lists_exactly_the_toggles_the_package_reads():
+    read = set()
+    for path in (_REPO / "src" / "repro").rglob("*.py"):
+        read.update(_TOGGLE.findall(path.read_text()))
+    documented = _readme_toggles()
+    assert documented, "README has no Environment toggles table"
+    assert read - documented == set(), "toggles missing from README"
+    assert documented - read == set(), "README rows for unread toggles"

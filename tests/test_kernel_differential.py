@@ -4,8 +4,8 @@ The default event kernel (:class:`repro.timing.Engine`) coalesces L2
 retry polls into batches and re-arms a gated poll without calling it
 while its bank's unblock epoch is unchanged. :class:`LegacyEngine`
 fires one event per poll and calls every poll, so it stays the oracle.
-This battery flips ``RCC_LEGACY_ENGINE`` between two runs of the *same*
-cell in one process and demands:
+This battery swaps the simulator's engine (``tests.conftest.use_engine``)
+between two runs of the *same* cell in one process and demands:
 
 * bit-identical result payloads (cycles, stats, per-block values) on
   seeds the golden file does not cover;
@@ -29,22 +29,14 @@ from repro.core.lease_policy import (FixedLeasePolicy,
 from repro.exec import SimCell, run_cell
 from repro.sanitize.sanitizer import Sanitizer
 from repro.sim.gpusim import run_simulation
-from repro.timing import Engine, LegacyEngine, make_engine
 from repro.workloads import get_workload
+from tests.conftest import use_engine
 
 PROTOCOLS = ("RCC", "RCC-WO", "MESI")
 
 
-def _use_legacy(monkeypatch, legacy: bool) -> None:
-    if legacy:
-        monkeypatch.setenv("RCC_LEGACY_ENGINE", "1")
-    else:
-        monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
-    assert type(make_engine()) is (LegacyEngine if legacy else Engine)
-
-
 def _payload(cell, monkeypatch, legacy: bool):
-    _use_legacy(monkeypatch, legacy)
+    use_engine(monkeypatch, legacy)
     return run_cell(cell).to_payload()
 
 
@@ -103,7 +95,7 @@ def test_registered_subclass_policy_bit_identical(protocol, monkeypatch):
 
 def _event_stream(protocol: str, monkeypatch, legacy: bool):
     """Run one sanitized simulation, teeing every Sanitizer.emit call."""
-    _use_legacy(monkeypatch, legacy)
+    use_engine(monkeypatch, legacy)
     events = []
     real_emit = Sanitizer.emit
 

@@ -37,12 +37,6 @@ with open(GOLDEN_PATH) as _fh:
 assert GOLDEN["kind"] == "flat-kernel-golden" and GOLDEN["schema"] == 1
 
 
-@pytest.fixture(autouse=True)
-def _fast_engine(monkeypatch):
-    """Pin the engine under test: the legacy escape hatch off."""
-    monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
-
-
 def payload_hash(result) -> str:
     """The canonical payload digest the golden file stores."""
     blob = json.dumps(result.to_payload(), sort_keys=True)

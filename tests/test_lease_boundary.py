@@ -88,10 +88,17 @@ class TestTCBoundary:
         line = l1.cache.insert(0, L1State.V, l1._on_evict)
         line.exp = 4
         line.value = "tok"
-        sim.engine.schedule(5, lambda: l1.access(_load_record(), None))
-        sim.engine.run(until=5)
-        assert l1.stats.load_hits == 0
-        assert l1.stats.load_expired == 1
+        checked = []
+
+        def access_at_5():
+            l1.access(_load_record(), None)
+            assert l1.stats.load_hits == 0
+            assert l1.stats.load_expired == 1
+            checked.append(sim.engine.now)
+
+        sim.engine.schedule(5, access_at_5)
+        sim.engine.run()
+        assert checked == [5]
 
 
 class TestTCSStoreSerialization:

@@ -4,7 +4,7 @@ The fast engine groups consecutive retry polls of one bucket into a
 :class:`RetryBatch` entry and skips re-polling members blocked on an
 unchanged :class:`RetryGate` epoch. :class:`LegacyEngine` runs one plain
 event per poll and polls every time, so every test here demands the same
-firing log, ``events_fired``, ``pending`` and ``snapshot()`` from both.
+firing log, ``now``, ``events_fired`` and ``pending`` from both.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.sim.gpusim import GPUSimulator
 from repro.timing.engine import RETRY_DELAY, Engine, RetryBatch, RetryGate
 from repro.timing.legacy import LegacyEngine
 from repro.workloads import get_workload
+from tests.conftest import use_engine
 
 ENGINES = (Engine, LegacyEngine)
 
@@ -67,7 +68,7 @@ class World:
 
     def observed(self):
         eng = self.engine
-        return self.log, eng.snapshot()
+        return self.log, (eng.now, eng.events_fired, eng.pending)
 
 
 def both(script):
@@ -100,9 +101,9 @@ def test_call_between_two_retries_keeps_its_place():
     def script(w):
         eng = w.engine
         eng.schedule_retry(8, w.poll("a"))
-        eng.schedule_call(8, w.call("x", then=lambda: w.release(3)))
+        eng.schedule(8, w.call("x", then=lambda: w.release(3)))
         eng.schedule_retry(8, w.poll("b"))
-        eng.schedule_call(20, lambda: w.release(1))
+        eng.schedule(20, lambda: w.release(1))
     log, _ = both(script)
     assert [tag for _, tag in log] == ["x", "b", "a"]
     eng = Engine()
@@ -122,13 +123,13 @@ def test_delivery_lands_between_rearmed_members():
         def b_proceeds(dry=False):
             if not dry:
                 w.log.append((eng.now, "b"))
-                eng.schedule_call(eng.now + RETRY_DELAY, w.call("x"))
+                eng.schedule(eng.now + RETRY_DELAY, w.call("x"))
             return None
 
         eng.schedule_retry(8, w.poll("a"))
         eng.schedule_retry(8, b_proceeds)
         eng.schedule_retry(8, w.poll("c"))
-        eng.schedule_call(12, lambda: w.release(2))
+        eng.schedule(12, lambda: w.release(2))
     log, _ = both(script)
     assert log == [(8, "b"), (16, "a"), (16, "x"), (16, "c")]
 
@@ -142,94 +143,22 @@ def test_handler_schedules_same_cycle_and_next_poll_events():
 
         def fan_out():
             now = eng.now
-            eng.schedule_call(now, w.call("same-call"))
+            eng.schedule(now, w.call("same-call"))
             eng.schedule_retry(now, w.poll("same-retry", gated=False))
-            eng.schedule_call(now + RETRY_DELAY, w.call("next-call"))
+            eng.schedule(now + RETRY_DELAY, w.call("next-call"))
             eng.schedule_retry(now + RETRY_DELAY, w.poll("next-retry"))
 
         eng.schedule_retry(8, w.poll("a", then=fan_out))
         eng.schedule_retry(8, w.poll("b"))
         eng.schedule_retry(8, w.poll("c"))
-        eng.schedule_call(0, lambda: w.release(2))
-        eng.schedule_call(30, lambda: w.release(10))
+        eng.schedule(0, lambda: w.release(2))
+        eng.schedule(30, lambda: w.release(10))
     log, (_, _, pending) = both(script)
     tags = [tag for _, tag in log]
     assert tags[:3] == ["a", "b", "same-call"]
     assert pending == 0
     assert set(tags) == {"a", "b", "c", "same-call", "same-retry",
                          "next-call", "next-retry"}
-
-
-def test_park_with_an_open_batch_then_join_it():
-    # run(until) parks before the batch's cycle; retries scheduled while
-    # parked join the open batch (or follow an interposed call).
-    def script(w):
-        eng = w.engine
-        eng.schedule_retry(50, w.poll("a"))
-        eng.schedule_retry(50, w.poll("b"))
-        eng.run(until=20)
-        assert eng.snapshot() == (20, 0, 2)
-        eng.schedule_retry(50, w.poll("c"))
-        eng.schedule_call(50, w.call("x"))
-        eng.schedule_retry(50, w.poll("d"))
-        eng.schedule_call(40, lambda: w.release(4))
-    log, snap = both(script)
-    assert [tag for _, tag in log] == ["a", "b", "c", "x", "d"]
-    assert snap[2] == 0
-
-
-def test_park_evicts_a_migrated_far_batch():
-    # A retry beyond the window rides the far heap; acquiring a far cycle
-    # migrates it into a bucket, and parking short of that cycle evicts
-    # it again. Retries added while parked must still fire after it.
-    def script(w):
-        eng = w.engine
-        eng.schedule_retry(900, w.poll("a"))
-        eng.schedule_call(600, w.call("x"))
-        eng.run(until=100)
-        assert eng.snapshot() == (100, 0, 2)
-        eng.schedule_retry(900, w.poll("b"))
-        eng.schedule_retry(900, w.poll("c", gated=False))
-        eng.run(until=700)
-        eng.schedule_call(905, lambda: w.release(3))
-    log, snap = both(script)
-    assert [tag for _, tag in log] == ["x", "a", "b", "c"]
-    assert log[1][0] == 908
-
-
-def test_counts_match_per_member_events_at_every_step():
-    # pending / events_fired / snapshot() after each run(until) slice.
-    def run(cls):
-        w = World(cls())
-        eng = w.engine
-        for k, tag in enumerate("abcdef"):
-            eng.schedule_retry(8 + (k % 2), w.poll(tag, gated=k % 3 != 0))
-        eng.schedule_call(8, w.call("x"))
-        eng.schedule_call(60, lambda: w.release(2))
-        eng.schedule_call(100, lambda: w.release(4))
-        snaps = [eng.snapshot()]
-        for until in (7, 8, 9, 16, 17, 59, 64, 65, 99, 120, 200):
-            eng.run(until=until)
-            snaps.append(eng.snapshot())
-        return snaps, w.log
-    fast, legacy = run(Engine), run(LegacyEngine)
-    assert fast == legacy
-    assert fast[0][0][2] == 9  # six retries + three calls
-    assert fast[0][-1][2] == 0
-
-
-def test_stop_inside_a_member_resumes_with_the_next_member():
-    def script(w):
-        eng = w.engine
-        eng.schedule_retry(8, w.poll("a"))
-        eng.schedule_retry(8, w.poll("b", then=eng.stop))
-        eng.schedule_retry(8, w.poll("c"))
-        eng.schedule_call(0, lambda: w.release(3))
-        eng.run()
-        assert eng.snapshot() == (8, 3, 1)
-        w.log.append((eng.now, "stopped"))
-    log, _ = both(script)
-    assert [tag for _, tag in log] == ["a", "b", "stopped", "c"]
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +170,7 @@ def test_gated_member_is_not_repolled_until_the_epoch_moves():
         w = World(cls())
         eng = w.engine
         eng.schedule_retry(8, w.poll("a"))
-        eng.schedule_call(800, lambda: w.release(1))
+        eng.schedule(800, lambda: w.release(1))
         eng.run()
         polls[cls] = w.polls
         assert w.log == [(800, "a")]
@@ -254,7 +183,7 @@ def test_gated_member_is_not_repolled_until_the_epoch_moves():
 def test_ungated_member_is_polled_every_time():
     w = World(Engine())
     w.engine.schedule_retry(8, w.poll("a", gated=False))
-    w.engine.schedule_call(800, lambda: w.release(1))
+    w.engine.schedule(800, lambda: w.release(1))
     w.engine.run()
     assert w.polls == 100
 
@@ -263,7 +192,7 @@ def test_audit_reevaluates_every_skipped_member():
     w = World(Engine())
     w.engine.audit_retries = True
     w.engine.schedule_retry(8, w.poll("a"))
-    w.engine.schedule_call(800, lambda: w.release(1))
+    w.engine.schedule(800, lambda: w.release(1))
     w.engine.run()
     assert (w.polls, w.dry_polls) == (2, 98)
 
@@ -274,7 +203,7 @@ def test_audit_catches_an_unblock_without_epoch_bump():
         eng = w.engine
         eng.audit_retries = audit
         eng.schedule_retry(8, w.poll("a"))
-        eng.schedule_call(100, lambda: w.release(1, bump=False))
+        eng.schedule(100, lambda: w.release(1, bump=False))
         if audit:
             with pytest.raises(InvariantViolation) as exc:
                 eng.run()
@@ -306,10 +235,7 @@ def test_pressure_cell_matches_legacy_under_the_sanitizer(protocol,
     traces = get_workload("hsp", intensity=0.5, seed=3).generate(cfg)
     payloads = []
     for legacy in (False, True):
-        if legacy:
-            monkeypatch.setenv("RCC_LEGACY_ENGINE", "1")
-        else:
-            monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
+        use_engine(monkeypatch, legacy)
         sim = GPUSimulator(cfg, protocol, traces, "hsp", sanitize=True)
         assert sim.engine.audit_retries
         payloads.append(json.dumps(sim.run().to_payload(), sort_keys=True))
@@ -326,7 +252,6 @@ def test_missing_release_bump_is_caught_by_the_sanitizer(protocol,
             return True
         return False
 
-    monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
     monkeypatch.setattr(MSHRFile, "release_if_empty", release_without_bump)
     cfg = _pressure_cfg()
     traces = get_workload("hsp", intensity=0.5, seed=3).generate(cfg)

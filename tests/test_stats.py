@@ -155,7 +155,7 @@ class TestTimeSeries:
         def bump():
             counter["v"] += 1
             if eng.now < 5000:
-                eng.schedule_in(100, bump)
+                eng.schedule(eng.now + 100, bump)
             else:
                 counter["alive"] = False
 

@@ -27,16 +27,10 @@ from repro.sim.gpusim import GPUSimulator
 from repro.timing.engine import Engine
 from repro.timing.legacy import LegacyEngine
 from repro.workloads import get_workload
+from tests.conftest import use_engine
 from tests.test_fuzz_differential import MP
 
 ENGINES = ("fast", "legacy")
-
-
-def _use_engine(monkeypatch, engine: str) -> None:
-    if engine == "legacy":
-        monkeypatch.setenv("RCC_LEGACY_ENGINE", "1")
-    else:
-        monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
 
 
 def cyclic_garbage(fn) -> Counter:
@@ -76,7 +70,7 @@ def _build(cfg, protocol, workload, intensity, seed, **kw) -> GPUSimulator:
 @pytest.mark.parametrize("protocol", available_protocols())
 def test_finished_simulator_leaves_no_cycles(protocol, sanitize, engine,
                                              monkeypatch):
-    _use_engine(monkeypatch, engine)
+    use_engine(monkeypatch, engine == "legacy")
 
     def run_and_drop():
         sim = _build(GPUConfig.small(), protocol, "dlb", 0.1, 1,
@@ -90,7 +84,7 @@ def test_finished_simulator_leaves_no_cycles(protocol, sanitize, engine,
 @pytest.mark.parametrize("protocol", available_protocols())
 def test_pressure_run_leaves_nothing_for_the_young_collect(protocol, engine,
                                                            monkeypatch):
-    _use_engine(monkeypatch, engine)
+    use_engine(monkeypatch, engine == "legacy")
     sim = _build(_pressure_cfg(), protocol, "hsp", 0.5, 3)
     gc.collect()  # generation 0 starts empty: only the run's objects count
     sim.run()
@@ -113,7 +107,6 @@ def test_each_parked_message_builds_one_poll(protocol, machine,
                                              monkeypatch):
     """The retry paths drop a message's cached poll only when a proceed
     does not re-park it, so no message ever needs a second poll."""
-    monkeypatch.delenv("RCC_LEGACY_ENGINE", raising=False)
     make_cfg, intensity, reparks = RETRY_MACHINES[machine]
     sim = _build(make_cfg(), protocol, "hsp", intensity, 3)
     l2_cls = type(sim.proto.l2s[0])
@@ -174,7 +167,7 @@ def test_deadlock_tears_down_and_keeps_the_sanitizer_tail(engine,
     sanitized: teardown must not run before the sanitizer's recent-event
     tail is rendered into the message, and must run before the error
     leaves ``run``."""
-    _use_engine(monkeypatch, engine)
+    use_engine(monkeypatch, engine == "legacy")
     messages = []
 
     def deadlock_and_drop():
@@ -201,8 +194,7 @@ def test_release_drops_queued_work(engine_cls):
     eng = engine_cls()
     fired = []
     eng.schedule(3, lambda: fired.append(3))
-    eng.schedule(10_000, lambda: fired.append(10_000)).cancel()
-    eng.schedule_call(5, lambda: fired.append(5))
+    eng.schedule(10_000, lambda: fired.append(10_000))
     eng.schedule_retry(7, lambda dry=False: fired.append(7))
     eng.release()
     assert eng.pending == 0

@@ -6,12 +6,12 @@ import time
 import pytest
 
 from repro.config import GPUConfig
-from repro.errors import TraceError
+from repro.errors import ConfigError, TraceError
 from repro.gpu.trace import (
     WarpTrace, atomic_op, barrier_op, compute_op, fence_op, load_op,
     store_op,
 )
-from repro.sim.gpusim import run_simulation
+from repro.sim.gpusim import GPUSimulator, run_simulation
 from repro.workloads import get_workload
 from repro.workloads.tracefile import (
     MAX_GRID_WARPS, load_traces, save_traces,
@@ -134,3 +134,23 @@ def test_grid_bound_is_inclusive():
     assert len(loaded) * len(loaded[0]) == side * side <= MAX_GRID_WARPS
     with pytest.raises(TraceError):
         load_traces(io.StringIO(f"@ {side - 1} {side}\nL 80\n"))
+
+
+def test_grid_wider_than_the_machine_rejected():
+    # 4 cores x 9 warps on a machine with 4 warps per core used to run.
+    cfg = GPUConfig.small()
+    traces = [[WarpTrace(c, w) for w in range(9)] for c in range(4)]
+    traces[3][8].append(load_op(0x80))
+    with pytest.raises(ConfigError, match="core 0 has traces for 9 warps"):
+        GPUSimulator(cfg, "RCC", traces)
+
+
+def test_trace_file_warp_beyond_the_machine_rejected(tmp_path):
+    cfg = GPUConfig.small()
+    path = tmp_path / "wide.trace"
+    path.write_text(f"@ {cfg.n_cores - 1} {cfg.warps_per_core}\nL 80\n")
+    traces = load_traces(str(path))
+    with pytest.raises(ConfigError, match=(
+            f"core 0 has traces for {cfg.warps_per_core + 1} warps, "
+            f"more than warps_per_core={cfg.warps_per_core}")):
+        run_simulation(cfg, "MESI", traces)
